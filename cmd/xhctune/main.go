@@ -147,7 +147,7 @@ func run(args []string) int {
 		if gnp == 0 || gnp > 16 {
 			gnp = 8 // gxhc runs real goroutines; keep the demo node-sized
 		}
-		gx, err := tune.RunOnlineGxhc(gnp, tune.OnlineOpts{Rounds: rounds, OpsPerRound: ops}, false)
+		gx, err := tune.RunOnlineGxhc(gnp, tune.OnlineOpts{Rounds: rounds, OpsPerRound: ops})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xhctune:", err)
 			return 1

@@ -12,10 +12,9 @@
 // The hot path is built for wall-clock speed (DESIGN.md §13): control
 // state lives in dense cache-line-padded flag arrays indexed by member
 // slot (flagLine, one line per writer — no maps, no false sharing),
-// waiters spin briefly then park on per-flag wait queues (Comm.wait, with
-// Config.Spin as the pure-spin escape hatch), reductions run through
-// unrolled bounds-check-free kernels (kernels_safe.go / gxhc_unsafe), and
-// the steady-state op path performs zero heap allocations.
+// waiters spin briefly then park on per-flag wait queues (Comm.wait),
+// reductions run through unrolled bounds-check-free kernels (kernels.go),
+// and the steady-state op path performs zero heap allocations.
 package gxhc
 
 import (
@@ -36,13 +35,6 @@ type Config struct {
 	GroupSize int
 	// ChunkBytes is the broadcast pipelining granule.
 	ChunkBytes int
-	// Spin keeps waiters spinning (with cooperative yielding and capped
-	// sleep backoff) instead of parking on a per-flag wait queue after the
-	// bounded spin phase. Spinning minimizes wakeup latency for small
-	// latency-bound operations when every participant has a core to itself;
-	// parking (the default) is what keeps oversubscribed runs off the
-	// scheduler's back.
-	Spin bool
 	// Chaos, when non-nil, seeds a deliberate synchronization bug for the
 	// verify harness's mutation self-test (see ChaosConfig).
 	Chaos *ChaosConfig

@@ -28,9 +28,7 @@ func (op ReduceOp) String() string {
 
 // vecReduce folds src into acc element-wise over the first len(acc)
 // elements (src must be at least as long; the slices must not overlap
-// partially). The per-op kernels live in kernels_safe.go (4-way unrolled,
-// bounds-check-eliminated) with a wider unsafe variant selected by the
-// gxhc_unsafe build tag.
+// partially).
 func vecReduce(op ReduceOp, acc, src []float64) {
 	switch op {
 	case OpSum:
@@ -39,6 +37,55 @@ func vecReduce(op ReduceOp, acc, src []float64) {
 		vecMin(acc, src)
 	case OpMax:
 		vecMax(acc, src)
+	}
+}
+
+// The per-op kernels: pure Go, 4-way unrolled, with the slice headers
+// hoisted so the compiler proves every index in range once per trip instead
+// of once per element. `src = src[:len(acc)]` pins both lengths to the same
+// bound; inside the unrolled body each access is dominated by the `i+3 <
+// len(acc)` trip test, so the bounds checks vanish (verified with
+// `go build -gcflags=-d=ssa/check_bce`).
+
+func vecAdd(acc, src []float64) {
+	src = src[:len(acc)]
+	i := 0
+	for ; i+3 < len(acc); i += 4 {
+		acc[i] += src[i]
+		acc[i+1] += src[i+1]
+		acc[i+2] += src[i+2]
+		acc[i+3] += src[i+3]
+	}
+	for ; i < len(acc); i++ {
+		acc[i] += src[i]
+	}
+}
+
+func vecMin(acc, src []float64) {
+	src = src[:len(acc)]
+	i := 0
+	for ; i+3 < len(acc); i += 4 {
+		acc[i] = math.Min(acc[i], src[i])
+		acc[i+1] = math.Min(acc[i+1], src[i+1])
+		acc[i+2] = math.Min(acc[i+2], src[i+2])
+		acc[i+3] = math.Min(acc[i+3], src[i+3])
+	}
+	for ; i < len(acc); i++ {
+		acc[i] = math.Min(acc[i], src[i])
+	}
+}
+
+func vecMax(acc, src []float64) {
+	src = src[:len(acc)]
+	i := 0
+	for ; i+3 < len(acc); i += 4 {
+		acc[i] = math.Max(acc[i], src[i])
+		acc[i+1] = math.Max(acc[i+1], src[i+1])
+		acc[i+2] = math.Max(acc[i+2], src[i+2])
+		acc[i+3] = math.Max(acc[i+3], src[i+3])
+	}
+	for ; i < len(acc); i++ {
+		acc[i] = math.Max(acc[i], src[i])
 	}
 }
 

@@ -42,12 +42,11 @@ func fillCase(rng *rand.Rand, flavor int, acc, src []float64) {
 	}
 }
 
-// TestKernelsBitIdentical property-checks that the optimized reduce
-// kernels (4-way unrolled by default; 8-wide pointer walks under
-// -tags gxhc_unsafe — this file compiles under both) produce bit-identical
-// results to the naive one-element-at-a-time loop for every length 0..257,
-// every op, across exactly-reducible integers, random finite values, and
-// IEEE specials (NaN, +/-Inf, signed zeros).
+// TestKernelsBitIdentical property-checks that the 4-way unrolled reduce
+// kernels produce bit-identical results to the naive one-element-at-a-time
+// loop for every length 0..257, every op, across exactly-reducible
+// integers, random finite values, and IEEE specials (NaN, +/-Inf, signed
+// zeros).
 func TestKernelsBitIdentical(t *testing.T) {
 	type kernel struct {
 		op    ReduceOp

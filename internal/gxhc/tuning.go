@@ -6,8 +6,8 @@ import (
 )
 
 // Tuning is the subset of Config an online tuner may change on a live
-// communicator (DESIGN.md §17). Knobs fixed at construction (GroupSize —
-// it shapes the hierarchy — and the Spin escape hatch) are absent.
+// communicator (DESIGN.md §17). GroupSize, fixed at construction because
+// it shapes the hierarchy, is absent.
 //
 // Field conventions, mirroring core.Tuning:
 //

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 const cacheLine = 64
@@ -12,13 +11,12 @@ const cacheLine = 64
 // Waiter tuning: tightProbes polls without yielding (the value is usually
 // already, or imminently, there); after that every probe yields the
 // processor, up to a budget that scales with the waited-on group's fan-in
-// (spinBudgetFor). Only after both phases does a waiter park on the flag's
-// wait queue (or, with Config.Spin, fall back to the legacy spin/sleep
-// backoff).
+// (spinBudget). Only after both phases does a waiter park on the flag's
+// wait queue.
 const (
 	tightProbes = 32
 	spinProbes  = 192
-	// spinScaleRef and spinScaleMax tune spinBudgetFor: the budget is
+	// spinScaleRef and spinScaleMax tune spinBudget: the budget is
 	// spinProbes * clamp(spinScaleRef/fanin, 1, spinScaleMax). The scale
 	// is deliberately modest — the spin phase's wall-time span must stay
 	// well under a scheduler timeslice, because a spinning waiter that
@@ -30,27 +28,20 @@ const (
 	spinScaleMax = 8
 )
 
-// spinBudgetFor returns the yielding-probe budget a waiter gets before it
+// spinBudget returns the yielding-probe budget a waiter gets before it
 // parks, as a function of the group fan-in it is synchronizing with. The
 // budget shrinks with fan-in: in a small group the expected wait is a
 // handful of peers' store latencies, so staying in the spin phase (whose
 // yields keep an oversubscribed writer schedulable) beats paying the
 // parking handoff's scheduler wakeup on every tiny op — the P2 barrier
-// regression this replaces the `-spin` workaround for. In a wide group the
-// tail waiter would burn a core (or, time-sliced, everyone else's slice)
-// for the whole fan-in, so it parks after a modest budget and the writer's
-// wake pays the handoff once.
+// parking cliff. In a wide group the tail waiter would burn a core (or,
+// time-sliced, everyone else's slice) for the whole fan-in, so it parks
+// after a modest budget and the writer's wake pays the handoff once.
 //
-// fanin <= 2: 8x spinProbes; halves with each doubling; >= 16: 1x.
-func spinBudgetFor(fanin int) int {
-	return spinBudget(spinProbes, spinScaleMax, fanin)
-}
-
-// spinBudget is the parameterized policy behind spinBudgetFor: probes is
-// the budget unit (Config.SpinProbes), scaleMax caps the small-fan-in
-// multiplier (Config.SpinScaleMax). The package-level constants remain the
-// default policy; a communicator's live policy goes through the Comm
-// methods below so an online tuner can move it (tuning.go).
+// probes is the budget unit (Config.SpinProbes) and scaleMax caps the
+// small-fan-in multiplier (Config.SpinScaleMax). Under the defaults
+// (spinProbes, spinScaleMax): fanin <= 2 gets 8x spinProbes, halving with
+// each doubling down to 1x at >= 16.
 func spinBudget(probes, scaleMax, fanin int) int {
 	if fanin < 1 {
 		fanin = 1
@@ -64,20 +55,6 @@ func spinBudget(probes, scaleMax, fanin int) int {
 	return probes * scale
 }
 
-// spinBudgetFor is spinBudgetFor under the communicator's live spin knobs.
-func (c *Comm) spinBudgetFor(fanin int) int {
-	return spinBudget(c.cfg.SpinProbes, c.cfg.SpinScaleMax, fanin)
-}
-
-// opBudget is the package opBudget under the communicator's live knobs:
-// the bulk-payload floor tracks Config.SpinProbes.
-func (c *Comm) opBudget(base, nbytes int) int {
-	if nbytes >= spinLargeBytes {
-		return c.cfg.SpinProbes
-	}
-	return base
-}
-
 // spinLargeBytes is the payload size above which an op's flag waits drop
 // to the parking floor regardless of fan-in. The fan-in-scaled budget
 // models control-dominated ops whose expected wait is a few peer store
@@ -88,17 +65,28 @@ func (c *Comm) opBudget(base, nbytes int) int {
 const spinLargeBytes = 32 << 10
 
 // opBudget selects the spin budget for one op: the group's fan-in-scaled
-// budget when the payload is small, the parking floor when the op moves
-// bulk data. Barriers have no payload of their own and pass the rank's
-// previous data-op size instead (viewSlot.lastBytes): a barrier right
-// after a bulk op is waiting on stragglers still moving that payload, and
-// its early finishers yield-storming through the copies is the same
-// slice-stealing the payload cutoff exists to prevent.
-func opBudget(base, nbytes int) int {
+// budget base when the payload is small, the parking floor when the op
+// moves bulk data. Barriers have no payload of their own and pass the
+// rank's previous data-op size instead (viewSlot.lastBytes): a barrier
+// right after a bulk op is waiting on stragglers still moving that
+// payload, and its early finishers yield-storming through the copies is
+// the same slice-stealing the payload cutoff exists to prevent.
+func opBudget(base, floor, nbytes int) int {
 	if nbytes >= spinLargeBytes {
-		return spinProbes
+		return floor
 	}
 	return base
+}
+
+// spinBudgetFor and opBudget apply the two policies under the
+// communicator's live knobs (an online tuner can move them, tuning.go):
+// the bulk-payload floor is Config.SpinProbes.
+func (c *Comm) spinBudgetFor(fanin int) int {
+	return spinBudget(c.cfg.SpinProbes, c.cfg.SpinScaleMax, fanin)
+}
+
+func (c *Comm) opBudget(base, nbytes int) int {
+	return opBudget(base, c.cfg.SpinProbes, nbytes)
 }
 
 // flagLine is one monotonic synchronization counter laid out so that its
@@ -198,11 +186,8 @@ func (f *flagLine) unlink(n *parkNode) {
 }
 
 // wait blocks rank until f reaches at least v and returns the observed
-// value. Phase 1 spins (bounded by budget, from spinBudgetFor of the
-// group's fan-in), phase 2 parks on the flag's wait queue — unless the
-// communicator was configured with Spin, in which case it falls back to
-// spinUntil's yield/sleep backoff (the escape hatch for latency-bound
-// small ops on machines with a core per participant).
+// value. Phase 1 spins (bounded by budget, from spinBudget of the group's
+// fan-in), phase 2 parks on the flag's wait queue.
 func (c *Comm) wait(f *flagLine, v uint64, rank, budget int) uint64 {
 	for i := 0; i < budget; i++ {
 		if got := f.v.Load(); got >= v {
@@ -211,9 +196,6 @@ func (c *Comm) wait(f *flagLine, v uint64, rank, budget int) uint64 {
 		if i >= tightProbes {
 			runtime.Gosched()
 		}
-	}
-	if c.cfg.Spin {
-		return spinUntil(&f.v, v)
 	}
 	n := &c.park[rank]
 	for {
@@ -248,34 +230,6 @@ func (c *Comm) wait(f *flagLine, v uint64, rank, budget int) uint64 {
 		// handing it a token, so the node is off the list here.
 		if got := f.v.Load(); got >= v {
 			return got
-		}
-	}
-}
-
-// spinUntil polls an atomic counter with cooperative yielding and capped
-// exponential backoff — the Config.Spin waiter. A short pure spin covers
-// the common low-latency case; after that every probe yields, and sustained
-// waiting falls back to sleeping. The original version yielded only every
-// 64th probe and never slept, which starved the counter's writer when
-// participants outnumber GOMAXPROCS; the parking waiter (Comm.wait) removes
-// even the capped sleep's wakeup-latency cliff.
-func spinUntil(a *atomic.Uint64, v uint64) uint64 {
-	for i := 0; ; i++ {
-		got := a.Load()
-		if got >= v {
-			return got
-		}
-		switch {
-		case i < 32:
-			// Tight spin: value is usually already (or imminently) there.
-		case i < 4096:
-			runtime.Gosched()
-		default:
-			shift := (i - 4096) / 1024
-			if shift > 6 {
-				shift = 6 // cap backoff at 64us to bound wakeup latency
-			}
-			time.Sleep(time.Microsecond << shift)
 		}
 	}
 }

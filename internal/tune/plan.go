@@ -136,11 +136,10 @@ func (p Plan) CoreConfig() (core.Config, error) {
 }
 
 // GxhcConfig maps the plan onto a real-concurrency backend configuration.
-func (p Plan) GxhcConfig(spin bool) gxhc.Config {
+func (p Plan) GxhcConfig() gxhc.Config {
 	return gxhc.Config{
 		GroupSize:    p.GroupSize,
 		ChunkBytes:   p.ChunkBytes[0],
-		Spin:         spin,
 		SpinProbes:   p.SpinProbes,
 		SpinScaleMax: p.SpinScaleMax,
 	}

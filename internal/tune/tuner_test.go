@@ -114,7 +114,7 @@ func TestOnlineSimAvoidsBadPlan(t *testing.T) {
 // plan switches at quiesced boundaries with live goroutines, with the
 // in-driver byte oracle checking every broadcast across every switch.
 func TestOnlineGxhc(t *testing.T) {
-	res, err := RunOnlineGxhc(8, OnlineOpts{Rounds: 8, OpsPerRound: 4, Bytes: 4 << 10}, false)
+	res, err := RunOnlineGxhc(8, OnlineOpts{Rounds: 8, OpsPerRound: 4, Bytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,15 +41,12 @@ go test -fuzz FuzzHierarchyBuild -fuzztime 5s -run '^$' ./internal/hier/
 go test -fuzz FuzzPlanFile -fuzztime 5s -run '^$' ./internal/tune/
 
 # The oversubscription regression (waiter starvation) under a thread
-# budget far below the rank count, in both waiter modes (park + the Spin
-# escape hatch); the test sets GOMAXPROCS itself, but the env var makes
-# the whole process thread-starved as in the original report. The race
-# pass re-runs the parking handshake (Dekker store/load + intrusive wait
-# queue) under the same starvation, and the gxhc_unsafe pass covers the
-# 8-wide pointer-walk kernel variant.
+# budget far below the rank count; the test sets GOMAXPROCS itself, but
+# the env var makes the whole process thread-starved as in the original
+# report. The race pass re-runs the parking handshake (Dekker store/load +
+# intrusive wait queue) under the same starvation.
 GOMAXPROCS=2 go test -timeout 120s -run TestOversubscribedProgress ./internal/gxhc/
 GOMAXPROCS=2 go test -race -timeout 300s -run TestOversubscribedProgress ./internal/gxhc/
-go test -tags gxhc_unsafe ./internal/gxhc/
 
 # With observability compiled in but disabled (no -trace/-metrics), reports
 # must stay byte-identical: no Observer is installed, so world construction
@@ -106,8 +103,7 @@ tune_pid=$!
 # real backend's cells are measured wall-clock latencies, so the numbers
 # legitimately vary run to run — the cmp is over the report with digits
 # masked (structure, labels, sizes), while -allocgate holds both runs to
-# an allocation-free op path. The -spin run smokes the escape-hatch
-# waiter through the same gate.
+# an allocation-free op path.
 go run ./cmd/xhcbench -backend gxhc -coll allreduce -np 4 -procs 2 \
     -sizes 4096 -warmup 5 -iters 20 -allocgate \
     -json "$tmpdir/cells_gx.json" > "$tmpdir/gx_off.txt"
@@ -117,8 +113,6 @@ go run ./cmd/xhcbench -backend gxhc -coll allreduce -np 4 -procs 2 \
 sed 's/[0-9][0-9.]*/N/g; s/  */ /g; s/--*/-/g' "$tmpdir/gx_off.txt" > "$tmpdir/gx_off_shape.txt"
 sed 's/[0-9][0-9.]*/N/g; s/  */ /g; s/--*/-/g' "$tmpdir/gx_on.txt" > "$tmpdir/gx_on_shape.txt"
 cmp "$tmpdir/gx_off_shape.txt" "$tmpdir/gx_on_shape.txt"
-go run ./cmd/xhcbench -backend gxhc -coll bcast -np 4 -procs 2 \
-    -sizes 4096 -warmup 5 -iters 20 -allocgate -spin > /dev/null
 
 # Regression gate sanity: xhcstat must pass a self-diff of the cells it
 # just measured (zero regressions against itself, exit 0), and of the
