@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify verify-cluster fuzz-smoke harness-checks telemetry-check cluster-check tune-check check bench bench-sim bench-gxhc bench-cluster bench-overlap bench-obs bench-tune quick-report
+.PHONY: build test vet perfbench-test race verify verify-cluster fuzz-smoke harness-checks telemetry-check cluster-check tune-check check bench bench-sim bench-gxhc bench-cluster bench-overlap bench-obs bench-tune quick-report
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,12 @@ vet:
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# The benchmark's own tests. perfbench/ is a separate Go module, so
+# `go test ./...` above does not reach it; its oracle, corrupted-output and
+# panicking-rank tests pin the gxhc outputs the benchmark times.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # The simulator itself is single-threaded per world, but gxhc (the real
 # goroutine-backed library), env (cross-world harness plumbing) and verify
@@ -128,7 +134,7 @@ cluster-check:
 	$(GO) run ./cmd/xhcstat -baseline /tmp/xhc_check_cl.json \
 	    -current BENCH_cluster.json > /dev/null
 
-check: build vet test race verify verify-cluster fuzz-smoke harness-checks telemetry-check tune-check cluster-check
+check: build vet test perfbench-test race verify verify-cluster fuzz-smoke harness-checks telemetry-check tune-check cluster-check
 
 # Simulator performance benchmarks (see DESIGN.md section 8 and
 # BENCH_flowsolver.json for the recorded before/after numbers).

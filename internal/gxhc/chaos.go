@@ -31,4 +31,13 @@ type ChaosConfig struct {
 	// boundaries deterministically at any batch length (needs payloads of
 	// at least 2 bytes to take effect). Caught by byte-exactness.
 	FuseCorrupt bool
+
+	// SkipResultPull makes every top-group allreduce reducer take the
+	// sole-reducer shortcut — no wait on the top leader's ready counter, no
+	// copy of the result outside its own slice — even when other reducers
+	// own the rest of the vector. Each such reducer (and every rank it
+	// leads) returns with its pre-op bytes there; caught by the
+	// data-correctness check. The reducer reads and writes nothing it would
+	// not touch anyway, so within one op the mutant is race-free.
+	SkipResultPull bool
 }

@@ -231,17 +231,20 @@ func (wc *wallClock) markFrom(level int, ph obs.Phase, bytes int64, from int) {
 	wc.last = now
 }
 
+// finish closes the op umbrella at the last mark, not at a fresh clock
+// read: every op body ends with a mark, so the phase spans partition
+// [start, End] exactly and per-edge blame sums to the op's latency, as in
+// virtual time.
 func (wc *wallClock) finish() {
 	if wc == nil {
 		return
 	}
-	now := wc.clk()
 	if wc.t != nil {
-		wc.t.Record(wc.lane, -1, obs.PhaseCollective, wc.op.String(), wc.seq, wc.start, now, wc.bytes)
+		wc.t.Record(wc.lane, -1, obs.PhaseCollective, wc.op.String(), wc.seq, wc.start, wc.last, wc.bytes)
 	}
 	if wc.rec != nil {
 		wc.rec.RecordFlight(obs.FlightRecord{
-			Seq: wc.seq, Start: wc.start, End: now, Bytes: wc.bytes,
+			Seq: wc.seq, Start: wc.start, End: wc.last, Bytes: wc.bytes,
 			Phase: wc.durs, Lane: int32(wc.lane), Chunks: wc.chnks,
 			Levels: wc.lvls, Op: wc.op,
 		})
@@ -733,31 +736,35 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 		}
 	}
 	wc.mark(-1, obs.PhaseFlagWait, 0)
+	// [lo,hi) is the part of dst that already holds the result when the
+	// result pull starts. In a top-group allreduce the accumulator is final
+	// as soon as a block of it is reduced, so a reducer writes each finished
+	// block of its slice into its own dst on the spot, and the pull copies
+	// only the rest. A slice that is the whole vector leaves nothing to
+	// pull: the sole reducer skips the top leader's ready wait (sole).
+	var lo, hi int
+	sole := false
 	if p.hasPull {
 		ctl := p.pull.ctl
 		// Reduce this rank's index partition of [0,n) into the leader's
 		// accumulator.
-		lo := n * p.redIdx / p.redCnt
-		hi := n * (p.redIdx + 1) / p.redCnt
-		if hi > lo {
+		slo := n * p.redIdx / p.redCnt
+		shi := n * (p.redIdx + 1) / p.redCnt
+		var out []float64
+		if bcast && ctl == st.top {
+			out = dst
+			lo, hi = slo, shi
+			sole = (lo == 0 && hi == n) || (c.cfg.Chaos != nil && c.cfg.Chaos.SkipResultPull)
+		}
+		if shi > slo {
 			c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, n*8))
-			lacc := ctl.exposedF
 			// Wait for every member's contribution to be ready.
 			for s := range ctl.red {
 				c.wait(&ctl.red[s], seq*2, rank, c.opBudget(ctl.spinBudget, n*8))
 			}
 			wc.mark(p.pull.level, obs.PhaseFlagWait, 0)
-			leaderContrib := ctl.contrib[ctl.leaderSlot].f
-			if &leaderContrib[0] != &lacc[0] {
-				copy(lacc[lo:hi], leaderContrib[lo:hi])
-			}
-			for s := range ctl.contrib {
-				if s == ctl.leaderSlot {
-					continue
-				}
-				vecReduce(op, lacc[lo:hi], ctl.contrib[s].f[lo:hi])
-			}
-			wc.mark(p.pull.level, obs.PhaseReduceSlice, int64(hi-lo)*8)
+			c.reduceSlice(ctl, op, slo, shi, out)
+			wc.mark(p.pull.level, obs.PhaseReduceSlice, int64(shi-slo)*8)
 		}
 		// Signal slice completion (phase 2k+1).
 		ctl.red[p.pull.slot].set(seq*2 + 1)
@@ -776,18 +783,23 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			// n == 0 publishes nothing, so the ready counter cannot order this
 			// pull against the leader's expose; skip it — there is no data.
 			ctl := p.pull.ctl
-			base := v.cum[p.pull.level]
-			c.wait(&ctl.ready, base+uint64(n), rank, c.opBudget(ctl.spinBudget, n*8))
-			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
-			final := ctl.exposedF
-			if &dst[0] != &final[0] {
-				copy(dst, final)
+			if !sole {
+				base := v.cum[p.pull.level]
+				c.wait(&ctl.ready, base+uint64(n), rank, c.opBudget(ctl.spinBudget, n*8))
+				wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
+				final := ctl.exposedF
+				if &dst[0] != &final[0] {
+					copy(dst[:lo], final[:lo])
+					copy(dst[hi:], final[hi:])
+				}
 			}
 			for i := range p.lead {
 				lr := &p.lead[i]
 				lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
 			}
-			wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(n)*8)
+			if !sole {
+				wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(n-(hi-lo))*8)
+			}
 		}
 	}
 
@@ -825,6 +837,36 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 		}
 	}
 	wc.finish()
+}
+
+// reduceSlice folds every member's contribution over [lo,hi) into the
+// leader's accumulator, block by block: ChunkBytes/8 elements (at least
+// one) at a time, the same granule as the broadcast pipeline. The first
+// member's fold also seeds the block from the leader's contribution
+// (vecReduceTo), so the fold order — leader, then members by slot — is
+// unchanged and results stay bit-identical. With out non-nil (a final
+// accumulator) each finished block is also copied into out while it is
+// still cache-hot.
+func (c *Comm) reduceSlice(ctl *groupCtl, op ReduceOp, lo, hi int, out []float64) {
+	lacc := ctl.exposedF
+	lead := ctl.contrib[ctl.leaderSlot].f
+	first := 0 // the first non-leader member slot
+	if ctl.leaderSlot == 0 {
+		first = 1
+	}
+	step := max(c.cfg.ChunkBytes/8, 1)
+	for b := lo; b < hi; b += step {
+		e := min(b+step, hi)
+		vecReduceTo(op, lacc[b:e], lead[b:e], ctl.contrib[first].f[b:e])
+		for s := first + 1; s < len(ctl.contrib); s++ {
+			if s != ctl.leaderSlot {
+				vecReduce(op, lacc[b:e], ctl.contrib[s].f[b:e])
+			}
+		}
+		if out != nil {
+			copy(out[b:e], lacc[b:e])
+		}
+	}
 }
 
 // Barrier blocks until every participant has arrived.

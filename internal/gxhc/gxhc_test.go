@@ -2,6 +2,7 @@ package gxhc
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -147,6 +148,104 @@ func TestAllreduceRepeated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAllreduceInPlaceAndBlocked pins the reducer-side data path: slices
+// folded in ChunkBytes/8-element blocks (ChunkBytes of 4 and 8 make every
+// block one element, 64 makes eight, the default one block per slice),
+// top groups of one to several reducers, each reducer's early write of its
+// own slice into its dst, and the sole-reducer shortcut. Every rank runs
+// the whole sequence back to back — sum, min and max allreduces and rooted
+// reduces, each with dst aliasing src and with separate buffers — and
+// refills its inputs right after each return, so a rank that returned
+// while a peer still reads its contribution shows up as wrong bytes (or
+// as a race under -race).
+func TestAllreduceInPlaceAndBlocked(t *testing.T) {
+	elemSet := []int{1, 10, 1000, 5000}
+	const reps = 3
+	ops := []ReduceOp{OpSum, OpMin, OpMax}
+	// input is exactly reducible, so every fold order yields the same bits.
+	input := func(rep, rank, i int) float64 { return float64((rank*7+i*3+rep*11)%201 - 100) }
+	for _, n := range []int{1, 2, 3, 8, 17} {
+		// want[e][rep][op] is the fold of every rank's input.
+		want := make([][reps][][]float64, len(elemSet))
+		for e, elems := range elemSet {
+			for rep := 0; rep < reps; rep++ {
+				for _, op := range ops {
+					w := make([]float64, elems)
+					for i := range w {
+						w[i] = input(rep, 0, i)
+						for r := 1; r < n; r++ {
+							w[i] = foldNaive(op, w[i], input(rep, r, i))
+						}
+					}
+					want[e][rep] = append(want[e][rep], w)
+				}
+			}
+		}
+		for _, gs := range []int{0, 2, 4} {
+			for _, chunk := range []int{4, 8, 64, 0} {
+				c := MustNew(n, Config{GroupSize: gs, ChunkBytes: chunk})
+				runAll(n, func(rank int) {
+					src := make([]float64, elemSet[len(elemSet)-1])
+					sep := make([]float64, len(src))
+					for e, elems := range elemSet {
+						for rep := 0; rep < reps; rep++ {
+							for oi, op := range ops {
+								for _, inPlace := range []bool{true, false} {
+									for _, rooted := range []bool{false, true} {
+										s, d := src[:elems], sep[:elems]
+										if inPlace {
+											d = s
+										}
+										for i := range s {
+											s[i] = input(rep, rank, i)
+										}
+										if !inPlace {
+											for i := range d {
+												d[i] = math.NaN()
+											}
+										}
+										root := (rep + oi) % n
+										if rooted {
+											c.ReduceFloat64Op(rank, d, s, root, op)
+										} else {
+											c.AllreduceFloat64Op(rank, d, s, op)
+										}
+										if rooted && rank != root {
+											continue
+										}
+										w := want[e][rep][oi]
+										for i := range w {
+											if math.Float64bits(d[i]) != math.Float64bits(w[i]) {
+												t.Errorf("n=%d gs=%d chunk=%d elems=%d rep=%d op=%v inPlace=%v rooted=%v rank=%d elem %d: got %v want %v",
+													n, gs, chunk, elems, rep, op, inPlace, rooted, rank, i, d[i], w[i])
+												break
+											}
+										}
+									}
+								}
+							}
+						}
+					}
+				})
+				if t.Failed() {
+					return
+				}
+			}
+		}
+	}
+}
+
+// foldNaive is the scalar fold the reduction kernels implement.
+func foldNaive(op ReduceOp, a, b float64) float64 {
+	switch op {
+	case OpMin:
+		return math.Min(a, b)
+	case OpMax:
+		return math.Max(a, b)
+	}
+	return a + b
 }
 
 func TestBarrier(t *testing.T) {

@@ -40,6 +40,22 @@ func vecReduce(op ReduceOp, acc, src []float64) {
 	}
 }
 
+// vecReduceTo writes out = a op b element-wise over the first len(out)
+// elements (a and b must be at least as long). out may alias a or b
+// exactly, never partially: each element is read before it is written.
+// It is the fused seed-and-fold step of a reduction slice — out = a
+// followed by vecReduce(op, out, b) in one pass, bit for bit.
+func vecReduceTo(op ReduceOp, out, a, b []float64) {
+	switch op {
+	case OpSum:
+		vecAddTo(out, a, b)
+	case OpMin:
+		vecMinTo(out, a, b)
+	case OpMax:
+		vecMaxTo(out, a, b)
+	}
+}
+
 // The per-op kernels: pure Go, 4-way unrolled, with the slice headers
 // hoisted so the compiler proves every index in range once per trip instead
 // of once per element. `src = src[:len(acc)]` pins both lengths to the same
@@ -86,6 +102,54 @@ func vecMax(acc, src []float64) {
 	}
 	for ; i < len(acc); i++ {
 		acc[i] = math.Max(acc[i], src[i])
+	}
+}
+
+// The out-of-place kernels carry the same unrolling and bounds-check hints,
+// with both inputs pinned to len(out).
+
+func vecAddTo(out, a, b []float64) {
+	a = a[:len(out)]
+	b = b[:len(out)]
+	i := 0
+	for ; i+3 < len(out); i += 4 {
+		out[i] = a[i] + b[i]
+		out[i+1] = a[i+1] + b[i+1]
+		out[i+2] = a[i+2] + b[i+2]
+		out[i+3] = a[i+3] + b[i+3]
+	}
+	for ; i < len(out); i++ {
+		out[i] = a[i] + b[i]
+	}
+}
+
+func vecMinTo(out, a, b []float64) {
+	a = a[:len(out)]
+	b = b[:len(out)]
+	i := 0
+	for ; i+3 < len(out); i += 4 {
+		out[i] = math.Min(a[i], b[i])
+		out[i+1] = math.Min(a[i+1], b[i+1])
+		out[i+2] = math.Min(a[i+2], b[i+2])
+		out[i+3] = math.Min(a[i+3], b[i+3])
+	}
+	for ; i < len(out); i++ {
+		out[i] = math.Min(a[i], b[i])
+	}
+}
+
+func vecMaxTo(out, a, b []float64) {
+	a = a[:len(out)]
+	b = b[:len(out)]
+	i := 0
+	for ; i+3 < len(out); i += 4 {
+		out[i] = math.Max(a[i], b[i])
+		out[i+1] = math.Max(a[i+1], b[i+1])
+		out[i+2] = math.Max(a[i+2], b[i+2])
+		out[i+3] = math.Max(a[i+3], b[i+3])
+	}
+	for ; i < len(out); i++ {
+		out[i] = math.Max(a[i], b[i])
 	}
 }
 

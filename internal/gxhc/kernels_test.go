@@ -46,17 +46,27 @@ func fillCase(rng *rand.Rand, flavor int, acc, src []float64) {
 // kernels produce bit-identical results to the naive one-element-at-a-time
 // loop for every length 0..257, every op, across exactly-reducible
 // integers, random finite values, and IEEE specials (NaN, +/-Inf, signed
-// zeros).
+// zeros). The out-of-place kernels (out = a op b) must equal copy(out, a)
+// followed by the naive fold of b, including when out aliases a.
 func TestKernelsBitIdentical(t *testing.T) {
 	type kernel struct {
 		op    ReduceOp
 		fast  func(acc, src []float64)
+		to    func(out, a, b []float64)
 		naive func(acc, src []float64)
 	}
 	kernels := []kernel{
-		{OpSum, vecAdd, vecAddNaive},
-		{OpMin, vecMin, vecMinNaive},
-		{OpMax, vecMax, vecMaxNaive},
+		{OpSum, vecAdd, vecAddTo, vecAddNaive},
+		{OpMin, vecMin, vecMinTo, vecMinNaive},
+		{OpMax, vecMax, vecMaxTo, vecMaxNaive},
+	}
+	same := func(got, want []float64) int {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return i
+			}
+		}
+		return -1
 	}
 	rng := rand.New(rand.NewSource(42))
 	for n := 0; n <= 257; n++ {
@@ -83,10 +93,26 @@ func TestKernelsBitIdentical(t *testing.T) {
 				// vecReduce must dispatch to the same kernel.
 				gotDisp := append([]float64(nil), acc...)
 				vecReduce(k.op, gotDisp, src)
-				for i := range gotDisp {
-					if math.Float64bits(gotDisp[i]) != math.Float64bits(gotAcc[i]) {
-						t.Fatalf("op=%v n=%d: vecReduce dispatch mismatch at %d", k.op, n, i)
-					}
+				if i := same(gotDisp, gotAcc); i >= 0 {
+					t.Fatalf("op=%v n=%d: vecReduce dispatch mismatch at %d", k.op, n, i)
+				}
+
+				// Out of place: out = acc op src over a junk-filled out, with
+				// src (the b operand) possibly longer than out.
+				out := make([]float64, n)
+				for i := range out {
+					out[i] = math.NaN()
+				}
+				k.to(out, acc, src)
+				if i := same(out, wantAcc); i >= 0 {
+					t.Fatalf("op=%v n=%d flavor=%d elem %d: out-of-place %x (%v) != naive %x (%v)",
+						k.op, n, flavor, i, math.Float64bits(out[i]), out[i],
+						math.Float64bits(wantAcc[i]), wantAcc[i])
+				}
+				alias := append([]float64(nil), acc...)
+				vecReduceTo(k.op, alias, alias, src)
+				if i := same(alias, wantAcc); i >= 0 {
+					t.Fatalf("op=%v n=%d: vecReduceTo with out aliasing a mismatch at %d", k.op, n, i)
 				}
 			}
 		}

@@ -157,15 +157,15 @@ type aggregate struct {
 	fusionBytes   int64
 	fuseAborts    int64
 
-	mem              mem.Stats
-	cache            xpmem.CacheStats
-	eventsScheduled  int64
-	eventsRun        int64
-	maxHeapLen       int
-	distCounts [5]int64
-	distBytes  [5]int64
-	flowCount  int64
-	flowTimePS int64
+	mem             mem.Stats
+	cache           xpmem.CacheStats
+	eventsScheduled int64
+	eventsRun       int64
+	maxHeapLen      int
+	distCounts      [5]int64
+	distBytes       [5]int64
+	flowCount       int64
+	flowTimePS      int64
 }
 
 // NewRegistry creates an empty registry. With traceEnabled, every world

@@ -7,6 +7,7 @@ import (
 	"xhc/internal/core"
 	"xhc/internal/env"
 	"xhc/internal/gxhc"
+	"xhc/internal/mpi"
 	"xhc/internal/sim"
 )
 
@@ -100,7 +101,8 @@ func runMutantSched(c Case, chaos *core.ChaosConfig, s Schedule) error {
 // bugs (DESIGN.md Section 10): the unmutated tree must pass — including
 // under fault injection — and every mutant must be caught. includeGoComm
 // adds the gxhc StaleReady mutant, which injects a genuine data race and
-// therefore must be skipped under the race detector.
+// therefore must be skipped under the race detector (the gxhc
+// SkipResultPull mutant is race-clean and always runs).
 func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	var out []MutationOutcome
 	record := func(name string, mutant bool, err error) {
@@ -233,6 +235,27 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	record("goconc/lost-progress", true, runConcGxhc(conc, &gxhc.ChaosConfig{LostProgress: true}, nil, concMutantDeadline))
 	record("goconc/early-complete", true, runConcGxhc(conc, &gxhc.ChaosConfig{EarlyComplete: true}, nil, concCleanDeadline))
 	record("goconc/fuse-corrupt", true, runConcGxhc(conc, &gxhc.ChaosConfig{FuseCorrupt: true}, nil, concCleanDeadline))
+
+	// Data: every top-group reducer of a gxhc allreduce takes the
+	// sole-reducer shortcut (no wait on the top leader's ready, no copy of
+	// the result outside its own slice) while another reducer owns the rest.
+	// 9 ranks at GroupSize 3 (runGoComm derives it from CfgSeed 1) give a
+	// top group of three: two reducers with half the vector each, so the skipping reducers and the ranks they lead
+	// return with their NaN prefill there — caught whatever the schedule.
+	// One op per rank: an early-returning reducer that went on to refill its
+	// buffers for a next op would race with the co-reducer still reading its
+	// contribution, while within one op the mutant reads and writes nothing
+	// it would not touch anyway — so it is race-clean and runs under the
+	// race detector too.
+	srp := base
+	srp.Ranks = 9
+	srp.Kind = KindAllreduce
+	srp.Dt = mpi.Float64
+	srp.Op = mpi.Sum
+	srp.Bytes = 64 << 10
+	srp.Ops = 1
+	record("gocomm/allreduce-clean", false, runGoComm(srp, Schedule{}, nil, nil))
+	record("gocomm/skip-result-pull", true, runGoComm(srp, Schedule{}, &gxhc.ChaosConfig{SkipResultPull: true}, nil))
 
 	if includeGoComm {
 		gc := base

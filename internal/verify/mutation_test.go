@@ -4,8 +4,8 @@ import "testing"
 
 // TestMutationsCaught is the checker's self-test: the unmutated protocol
 // passes (including under fault injection) and every seeded bug is
-// detected. The gxhc mutant is excluded under the race detector because it
-// injects a genuine data race (see race_on.go).
+// detected. The gxhc StaleReady mutant is excluded under the race detector
+// because it injects a genuine data race (see race_on.go).
 func TestMutationsCaught(t *testing.T) {
 	for _, o := range RunMutationSelfTest(!raceEnabled) {
 		if o.OK {

@@ -9,6 +9,10 @@ set -eux
 go build ./...
 go vet ./...
 go test -shuffle=on ./...
+# The benchmark's own tests: perfbench/ is a separate Go module, so the
+# line above does not reach it. Its oracle, corrupted-output and
+# panicking-rank tests pin the gxhc outputs the benchmark times.
+(cd perfbench && go test ./...)
 go test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/
 # tune's online bandit drives live gxhc communicators (plan switches at
 # quiesced boundaries with goroutines parked around them); the race pass
