@@ -12,9 +12,9 @@ import (
 // marks partition every op exactly and the per-edge blame sums to the
 // critical-lane latency tick for tick, as it does in virtual time. The
 // allreduce loop covers the reducer data path on two shapes: GroupSize 3
-// puts two reducers in the top group (own-slice write, then a partial
-// result pull), GroupSize 4 leaves one (the sole-reducer shortcut, which
-// marks no result wait or copy).
+// puts two reducers in the top group (each pulls the result), GroupSize 4
+// leaves one (the sole-reducer shortcut, which marks no result wait or
+// copy).
 func TestCritBlameSumWallClock(t *testing.T) {
 	const n, iters, payload = 8, 20, 4096
 	for _, gs := range []int{3, 4} {

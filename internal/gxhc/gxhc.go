@@ -33,7 +33,9 @@ type Config struct {
 	// hierarchy (0/1 yields a flat communicator). On a real machine a
 	// sensible choice is the number of cores sharing an L3 cache.
 	GroupSize int
-	// ChunkBytes is the broadcast pipelining granule.
+	// ChunkBytes is the broadcast pipelining granule. It also sets the
+	// reduction block size: an allreduce or rooted-reduce reducer folds its
+	// slice ChunkBytes/8 elements (at least one) at a time.
 	ChunkBytes int
 	// Chaos, when non-nil, seeds a deliberate synchronization bug for the
 	// verify harness's mutation self-test (see ChaosConfig).
@@ -736,35 +738,30 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 		}
 	}
 	wc.mark(-1, obs.PhaseFlagWait, 0)
-	// [lo,hi) is the part of dst that already holds the result when the
-	// result pull starts. In a top-group allreduce the accumulator is final
-	// as soon as a block of it is reduced, so a reducer writes each finished
-	// block of its slice into its own dst on the spot, and the pull copies
-	// only the rest. A slice that is the whole vector leaves nothing to
-	// pull: the sole reducer skips the top leader's ready wait (sole).
-	var lo, hi int
+	// A sole top-group reducer of an allreduce (its slice is the whole
+	// vector) computes the final result itself: it writes each finished
+	// block straight into its own dst and skips the result pull (sole).
 	sole := false
 	if p.hasPull {
 		ctl := p.pull.ctl
 		// Reduce this rank's index partition of [0,n) into the leader's
 		// accumulator.
-		slo := n * p.redIdx / p.redCnt
-		shi := n * (p.redIdx + 1) / p.redCnt
+		lo := n * p.redIdx / p.redCnt
+		hi := n * (p.redIdx + 1) / p.redCnt
 		var out []float64
-		if bcast && ctl == st.top {
+		if bcast && ctl == st.top && ((lo == 0 && hi == n) || (c.cfg.Chaos != nil && c.cfg.Chaos.SkipResultPull)) {
 			out = dst
-			lo, hi = slo, shi
-			sole = (lo == 0 && hi == n) || (c.cfg.Chaos != nil && c.cfg.Chaos.SkipResultPull)
+			sole = true
 		}
-		if shi > slo {
+		if hi > lo {
 			c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, n*8))
 			// Wait for every member's contribution to be ready.
 			for s := range ctl.red {
 				c.wait(&ctl.red[s], seq*2, rank, c.opBudget(ctl.spinBudget, n*8))
 			}
 			wc.mark(p.pull.level, obs.PhaseFlagWait, 0)
-			c.reduceSlice(ctl, op, slo, shi, out)
-			wc.mark(p.pull.level, obs.PhaseReduceSlice, int64(shi-slo)*8)
+			c.reduceSlice(ctl, op, lo, hi, out)
+			wc.mark(p.pull.level, obs.PhaseReduceSlice, int64(hi-lo)*8)
 		}
 		// Signal slice completion (phase 2k+1).
 		ctl.red[p.pull.slot].set(seq*2 + 1)
@@ -789,8 +786,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 				wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 				final := ctl.exposedF
 				if &dst[0] != &final[0] {
-					copy(dst[:lo], final[:lo])
-					copy(dst[hi:], final[hi:])
+					copy(dst, final)
 				}
 			}
 			for i := range p.lead {
@@ -798,7 +794,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 				lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
 			}
 			if !sole {
-				wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(n-(hi-lo))*8)
+				wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(n)*8)
 			}
 		}
 	}
@@ -844,9 +840,9 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 // one) at a time, the same granule as the broadcast pipeline. The first
 // member's fold also seeds the block from the leader's contribution
 // (vecReduceTo), so the fold order — leader, then members by slot — is
-// unchanged and results stay bit-identical. With out non-nil (a final
-// accumulator) each finished block is also copied into out while it is
-// still cache-hot.
+// unchanged and results stay bit-identical. With out non-nil (the sole
+// reducer's final accumulator) each finished block is also copied into out
+// while it is still cache-hot.
 func (c *Comm) reduceSlice(ctl *groupCtl, op ReduceOp, lo, hi int, out []float64) {
 	lacc := ctl.exposedF
 	lead := ctl.contrib[ctl.leaderSlot].f

@@ -153,8 +153,8 @@ func TestAllreduceRepeated(t *testing.T) {
 // TestAllreduceInPlaceAndBlocked pins the reducer-side data path: slices
 // folded in ChunkBytes/8-element blocks (ChunkBytes of 4 and 8 make every
 // block one element, 64 makes eight, the default one block per slice),
-// top groups of one to several reducers, each reducer's early write of its
-// own slice into its dst, and the sole-reducer shortcut. Every rank runs
+// top groups of one to several reducers, and the sole reducer's early
+// write into its dst that replaces its result pull. Every rank runs
 // the whole sequence back to back — sum, min and max allreduces and rooted
 // reduces, each with dst aliasing src and with separate buffers — and
 // refills its inputs right after each return, so a rank that returned
@@ -164,20 +164,25 @@ func TestAllreduceInPlaceAndBlocked(t *testing.T) {
 	elemSet := []int{1, 10, 1000, 5000}
 	const reps = 3
 	ops := []ReduceOp{OpSum, OpMin, OpMax}
+	naive := []func(acc, src []float64){vecAddNaive, vecMinNaive, vecMaxNaive}
 	// input is exactly reducible, so every fold order yields the same bits.
 	input := func(rep, rank, i int) float64 { return float64((rank*7+i*3+rep*11)%201 - 100) }
 	for _, n := range []int{1, 2, 3, 8, 17} {
 		// want[e][rep][op] is the fold of every rank's input.
 		want := make([][reps][][]float64, len(elemSet))
 		for e, elems := range elemSet {
+			in := make([]float64, elems)
 			for rep := 0; rep < reps; rep++ {
-				for _, op := range ops {
+				for oi := range ops {
 					w := make([]float64, elems)
 					for i := range w {
 						w[i] = input(rep, 0, i)
-						for r := 1; r < n; r++ {
-							w[i] = foldNaive(op, w[i], input(rep, r, i))
+					}
+					for r := 1; r < n; r++ {
+						for i := range in {
+							in[i] = input(rep, r, i)
 						}
+						naive[oi](w, in)
 					}
 					want[e][rep] = append(want[e][rep], w)
 				}
@@ -235,17 +240,6 @@ func TestAllreduceInPlaceAndBlocked(t *testing.T) {
 			}
 		}
 	}
-}
-
-// foldNaive is the scalar fold the reduction kernels implement.
-func foldNaive(op ReduceOp, a, b float64) float64 {
-	switch op {
-	case OpMin:
-		return math.Min(a, b)
-	case OpMax:
-		return math.Max(a, b)
-	}
-	return a + b
 }
 
 func TestBarrier(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 //
 // Field conventions, mirroring core.Tuning:
 //
-//   - ChunkBytes: <= 0 keeps the current pipelining granule.
+//   - ChunkBytes: <= 0 keeps the current pipelining granule, which is
+//     also the reduction block size (Config.ChunkBytes).
 //   - FuseBytes: negative keeps; 0 disables request fusion; positive sets
 //     the fusable-payload cap (gxhc staging buffers grow on demand, so no
 //     upper clamp is needed).

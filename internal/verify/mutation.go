@@ -240,13 +240,11 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	// sole-reducer shortcut (no wait on the top leader's ready, no copy of
 	// the result outside its own slice) while another reducer owns the rest.
 	// 9 ranks at GroupSize 3 (runGoComm derives it from CfgSeed 1) give a
-	// top group of three: two reducers with half the vector each, so the skipping reducers and the ranks they lead
-	// return with their NaN prefill there — caught whatever the schedule.
-	// One op per rank: an early-returning reducer that went on to refill its
-	// buffers for a next op would race with the co-reducer still reading its
-	// contribution, while within one op the mutant reads and writes nothing
-	// it would not touch anyway — so it is race-clean and runs under the
-	// race detector too.
+	// top group of three: two reducers with half the vector each, so the
+	// skipping reducers and the ranks they lead return with their NaN
+	// prefill in the other half — caught whatever the schedule. One op per
+	// rank keeps the mutant race-clean (DESIGN.md §10), so it also runs
+	// under the race detector.
 	srp := base
 	srp.Ranks = 9
 	srp.Kind = KindAllreduce
