@@ -8,13 +8,16 @@ import (
 
 const cacheLine = 64
 
-// Waiter tuning: tightProbes polls without yielding (the value is usually
-// already, or imminently, there); after that every probe yields the
-// processor, up to a budget that scales with the waited-on group's fan-in
-// (spinBudget). Only after both phases does a waiter park on the flag's
-// wait queue.
+// Waiter tuning: tightProbes polls without yielding, then up to a budget
+// of probes that each yield the processor (spinBudget, which scales with
+// the waited-on group's fan-in). Only after both phases does a waiter park
+// on the flag's wait queue. The tight phase (under a microsecond) must
+// outlast one cross-core handoff: a yield costs more than the handoff, and
+// the waiter sees the peer's store only once the yield returns, so a short
+// tight phase makes yields, not handoffs, set an op's latency (DESIGN.md
+// §13, "Tight phase").
 const (
-	tightProbes = 32
+	tightProbes = 1024
 	spinProbes  = 192
 	// spinScaleRef and spinScaleMax tune spinBudget: the budget is
 	// spinProbes * clamp(spinScaleRef/fanin, 1, spinScaleMax). The scale
@@ -186,10 +189,11 @@ func (f *flagLine) unlink(n *parkNode) {
 }
 
 // wait blocks rank until f reaches at least v and returns the observed
-// value. Phase 1 spins (bounded by budget, from spinBudget of the group's
-// fan-in), phase 2 parks on the flag's wait queue.
+// value. Phase 1 spins: tightProbes plain probes, then budget yielding
+// probes (from spinBudget of the group's fan-in); phase 2 parks on the
+// flag's wait queue.
 func (c *Comm) wait(f *flagLine, v uint64, rank, budget int) uint64 {
-	for i := 0; i < budget; i++ {
+	for i := 0; i < tightProbes+budget; i++ {
 		if got := f.v.Load(); got >= v {
 			return got
 		}
