@@ -28,7 +28,6 @@ perfbench-test:
 # worker goroutines — so those run under the race detector.
 race:
 	$(GO) test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/
-	$(GO) test -race -run 'Online' ./internal/tune/
 
 # Schedule-exploration checker: randomized configurations x seeded
 # schedules with fault injection, invariant checks on every run, plus the
@@ -104,12 +103,10 @@ telemetry-check:
 # Tuner repro gate (DESIGN.md section 17): replay the committed plan
 # file's pinned cells fresh — default plan vs persisted winner, simulated
 # latencies, so verdicts are exact — and fail xhcstat-style if any tuned
-# cell is more than 5% and 1us slower than the default. The committed
-# BENCH_tune.json trajectory must also self-diff cleanly (both-key-sets
-# rule, like BENCH_gxhc.json; regenerate with `make bench-tune`).
+# cell is more than 5% and 1us slower than the default (regenerate the
+# plan file with `make bench-tune`).
 tune-check:
 	$(GO) run ./cmd/xhctune -check -quick -plan tuned/ARM-N1.json > /dev/null
-	$(GO) run ./cmd/xhcstat -baseline BENCH_tune.json -current BENCH_tune.json > /dev/null
 
 # Cluster determinism + baseline gate: the sharded run's report must be
 # byte-identical to the sequential reference — and so must a run with live
@@ -191,14 +188,12 @@ bench-obs:
 # Regenerate the autotuner artifacts: a full offline sweep-and-select on
 # ARM-N1 (all 160 ranks, full iteration counts — the same fidelity the
 # tune-check gate replays against) persisting the winning plan per pinned
-# cell to tuned/ARM-N1.json and the default-vs-tuned cells to
-# BENCH_tune.json, then the repro gate over what was just written.
+# cell to tuned/ARM-N1.json, then the repro gate over what was just
+# written.
 bench-tune:
 	mkdir -p tuned
-	$(GO) run ./cmd/xhctune -sweep -platform ARM-N1 \
-	    -plan tuned/ARM-N1.json -benchout BENCH_tune.json
+	$(GO) run ./cmd/xhctune -sweep -platform ARM-N1 -plan tuned/ARM-N1.json
 	$(GO) run ./cmd/xhctune -check -quick -plan tuned/ARM-N1.json > /dev/null
-	$(GO) run ./cmd/xhcstat -baseline BENCH_tune.json -current BENCH_tune.json > /dev/null
 
 quick-report:
 	$(GO) run ./cmd/xhcrepro -quick -o EXPERIMENTS_quick.txt

@@ -1,24 +1,19 @@
-// Command xhctune closes the telemetry→tuning loop (DESIGN.md §17).
+// Command xhctune is the offline autotuner (DESIGN.md §17): it picks the
+// knobs a communicator is constructed with, per pinned cell.
 //
 // Modes:
 //
-//	xhctune -sweep -platform ARM-N1 -plan tuned/ARM-N1.json -benchout BENCH_tune.json
+//	xhctune -sweep -platform ARM-N1 -plan tuned/ARM-N1.json
 //	    Offline sweep-and-select: measure every candidate plan on every
-//	    pinned cell, persist the winner per cell to the plan file, and
-//	    write the default-vs-tuned cells (xhcstat-diffable) to -benchout.
+//	    pinned cell and persist the winner per cell to the plan file.
 //
 //	xhctune -check -plan tuned/ARM-N1.json
 //	    No-regression repro gate: replay every pinned cell fresh under the
 //	    default plan and the file's winning plan; fail if any tuned cell
 //	    is more than 5% and 1us slower than the default.
 //
-//	xhctune -online
-//	    Online bandit demo: run the epsilon-greedy bandit against live
-//	    communicators on both backends, switching plans at safe operation
-//	    boundaries, and report the chosen plan per backend.
-//
-// Exit status: 0 success, 1 regression (or online failure), 2 usage or
-// plan-file error — the same convention as xhcstat.
+// Exit status: 0 success, 1 regression, 2 usage or plan-file error — the
+// same convention as xhcstat.
 package main
 
 import (
@@ -38,23 +33,15 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("xhctune", flag.ContinueOnError)
 	sweep := fs.Bool("sweep", false, "run the offline sweep-and-select and persist the plan file")
 	check := fs.Bool("check", false, "replay the plan file's pinned cells as a no-regression gate")
-	online := fs.Bool("online", false, "run the online bandit against live communicators on both backends")
 	quick := fs.Bool("quick", false, "trim iteration counts (simulated latencies and verdicts are unchanged)")
 	platform := fs.String("platform", "ARM-N1", "simulated platform to tune (sweep mode)")
 	planPath := fs.String("plan", "", "plan file path (default tuned/<platform>.json)")
-	benchOut := fs.String("benchout", "", "sweep mode: also write default-vs-tuned cells as JSON to this file")
 	np := fs.Int("np", 0, "rank count (0 = all cores; must match between sweep and check)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	modes := 0
-	for _, m := range []bool{*sweep, *check, *online} {
-		if m {
-			modes++
-		}
-	}
-	if modes != 1 {
-		fmt.Fprintln(os.Stderr, "xhctune: exactly one of -sweep, -check, -online is required")
+	if *sweep == *check {
+		fmt.Fprintln(os.Stderr, "xhctune: exactly one of -sweep, -check is required")
 		fs.Usage()
 		return 2
 	}
@@ -67,7 +54,7 @@ func run(args []string) int {
 
 	switch {
 	case *sweep:
-		f, bench, err := tune.Sweep(tune.SweepOpts{
+		f, err := tune.Sweep(tune.SweepOpts{
 			Platform: *platform, NRanks: *np, Quick: *quick, Progress: progress,
 		})
 		if err != nil {
@@ -82,16 +69,6 @@ func run(args []string) int {
 		if err := os.WriteFile(*planPath, data, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "xhctune:", err)
 			return 2
-		}
-		if *benchOut != "" {
-			bd, err := json.MarshalIndent(bench, "", "  ")
-			if err == nil {
-				err = os.WriteFile(*benchOut, append(bd, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xhctune:", err)
-				return 2
-			}
 		}
 		improved := 0
 		for _, c := range f.Cells {
@@ -108,7 +85,7 @@ func run(args []string) int {
 		fmt.Printf("xhctune: wrote %s (%d cells, %d improved >= 5%%)\n", *planPath, len(f.Cells), improved)
 		return 0
 
-	case *check:
+	default: // check
 		f, err := tune.Load(*planPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xhctune:", err)
@@ -129,31 +106,6 @@ func run(args []string) int {
 		if regressions > 0 {
 			return 1
 		}
-		return 0
-
-	default: // online
-		rounds, ops := 0, 0 // package defaults
-		if *quick {
-			rounds, ops = 8, 4
-		}
-		sim, err := tune.RunOnlineSim(*platform, *np, tune.OnlineOpts{Rounds: rounds, OpsPerRound: ops})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xhctune:", err)
-			return 1
-		}
-		fmt.Printf("online sim  %-10s best=%-12s switches=%d trace=%v\n",
-			*platform, sim.Best.Name, sim.Switches, sim.Trace)
-		gnp := *np
-		if gnp == 0 || gnp > 16 {
-			gnp = 8 // gxhc runs real goroutines; keep the demo node-sized
-		}
-		gx, err := tune.RunOnlineGxhc(gnp, tune.OnlineOpts{Rounds: rounds, OpsPerRound: ops})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xhctune:", err)
-			return 1
-		}
-		fmt.Printf("online gxhc np=%-7d best=%-12s switches=%d trace=%v\n",
-			gnp, gx.Best.Name, gx.Switches, gx.Trace)
 		return 0
 	}
 }

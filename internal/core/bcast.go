@@ -126,13 +126,6 @@ func (c *Comm) cicoBcast(p *env.Proc, st *commState, view *rankView, buf *mem.Bu
 	lead := st.leadLevels(p.Rank)
 	pl := st.pullLevel(p.Rank)
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2) // double-buffered slots
-	if c.chaos().MidOpTune && p.Rank == root {
-		// Mutation: a tuner moves the CICO/XPMEM boundary mid-op. The root
-		// continues on the CICO path it already dispatched; any peer that
-		// dispatches this same op after the store takes the XPMEM path and
-		// waits forever on an exposure the CICO protocol never publishes.
-		c.Cfg.CICOThreshold = 0
-	}
 	early := c.chaos().EarlyReady
 	announce := func() {
 		for _, l := range lead {

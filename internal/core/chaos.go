@@ -52,17 +52,6 @@ type ChaosConfig struct {
 	// fusion boundaries whenever a batch of at least two ops forms. Caught
 	// by byte-exactness.
 	FuseCorrupt bool
-
-	// MidOpTune applies a tuning plan in the middle of an operation — the
-	// exact bug ApplyTuning's barrier sandwich exists to prevent. On the
-	// root's first CICO broadcast the comm-global CICO threshold is moved
-	// (to zero) after the root has dispatched but while peers may not have:
-	// a peer that dispatches after the move takes the XPMEM path and waits
-	// on an exposure sequence the root's CICO path never publishes. Caught
-	// by the engine's deadlock detector (or, if every peer dispatched
-	// early, the run stays clean — the self-test pins a schedule where the
-	// window opens).
-	MidOpTune bool
 }
 
 // chaos returns the active mutation set (the zero value when none).

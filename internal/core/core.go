@@ -145,14 +145,11 @@ type Comm struct {
 
 	// Non-blocking request machinery (request.go): one lane per rank
 	// holding the queue its helper proc drains, a per-rank staging buffer
-	// for fused small-op batches, and the fusion size cap (CICOThreshold).
+	// for fused small-op batches, and the fusion size cap (CICOThreshold),
+	// which also sizes those buffers.
 	nb      []nbRank
 	fuseBuf []*mem.Buffer
 	fuseMax int
-	// fuseCap is the construction-time fusion cap: it sizes the (lazily
-	// allocated, never grown) staging buffers, so a dynamic FuseBytes from
-	// ApplyTuning can lower fuseMax and raise it back, but never past this.
-	fuseCap int
 	// inflightCur counts this comm's currently outstanding requests
 	// (plain: the simulation is cooperative).
 	inflightCur int64
@@ -208,7 +205,6 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 	c.nb = make([]nbRank, w.N)
 	c.fuseBuf = make([]*mem.Buffer, w.N)
 	c.fuseMax = cfg.CICOThreshold
-	c.fuseCap = cfg.CICOThreshold
 	for r := 0; r < w.N; r++ {
 		c.caches[r] = xpmem.NewCache(w.Sys, 0, cfg.RegCache)
 		c.cico[r] = w.NewBufferAt(c.name("cico.%d", r), r, cfg.CICOBytes)

@@ -369,13 +369,10 @@ func (c *Comm) completeReq(r *Request) {
 
 // fuseStaging returns (lazily allocating) rank's fused-batch staging
 // buffer. Only forwarding ranks of fused batches allocate one, so worlds
-// that never fuse keep their memory footprint unchanged. The buffer is
-// sized by the construction-time cap (fuseCap), not the live fuseMax: a
-// tuner may lower FuseBytes and later raise it back, and a buffer sized
-// at the low-water mark would overflow.
+// that never fuse keep their memory footprint unchanged.
 func (c *Comm) fuseStaging(rank int) *mem.Buffer {
 	if c.fuseBuf[rank] == nil {
-		c.fuseBuf[rank] = c.W.NewBufferAt(c.name("fuse.%d", rank), rank, maxFuseBatch*c.fuseCap)
+		c.fuseBuf[rank] = c.W.NewBufferAt(c.name("fuse.%d", rank), rank, maxFuseBatch*c.fuseMax)
 	}
 	return c.fuseBuf[rank]
 }

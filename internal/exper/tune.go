@@ -9,24 +9,22 @@ import (
 )
 
 func init() {
-	register("tune", "Online autotuner: sweep-and-select and bandit convergence (ARM-N1)", runTune)
+	register("tune", "Autotuner: sweep-and-select (ARM-N1)", runTune)
 }
 
-// runTune demonstrates the closed telemetry→tuning loop of DESIGN.md §17
-// on a node slice of ARM-N1: an offline sweep-and-select over the
-// candidate plans (or, with Options.PlanFile, the persisted winners from
-// xhctune -sweep), followed by the online bandit converging on the same
-// kind of winner against a live communicator. Every (cell, plan)
-// measurement is an independent simulation, so the sweep fans out across
-// Options.Parallel workers and the rendered report stays byte-identical
-// at any worker count.
+// runTune demonstrates the offline autotuner of DESIGN.md §17 on a node
+// slice of ARM-N1: a sweep-and-select over the candidate plans (or, with
+// Options.PlanFile, the persisted winners from xhctune -sweep). Every
+// (cell, plan) measurement is an independent simulation, so the sweep fans
+// out across Options.Parallel workers and the rendered report stays
+// byte-identical at any worker count.
 func runTune(o Options) (*Report, error) {
 	const platform = "ARM-N1"
 	np := 40
 	if o.Quick {
 		np = 16
 	}
-	r := &Report{ID: "tune", Title: "Online autotuner (ARM-N1, " + fmt.Sprint(np) + " ranks)"}
+	r := &Report{ID: "tune", Title: "Autotuner: sweep-and-select (ARM-N1, " + fmt.Sprint(np) + " ranks)"}
 	var b strings.Builder
 
 	var cps []tune.CellPlan
@@ -77,18 +75,6 @@ func runTune(o Options) (*Report, error) {
 	}
 	b.WriteString(t.String())
 	r.Metric("cells_improved_5pct", float64(improved))
-
-	rounds := 0 // package default: 3 rounds per arm
-	if o.Quick {
-		rounds = 8
-	}
-	on, err := tune.RunOnlineSim(platform, np, tune.OnlineOpts{Rounds: rounds, OpsPerRound: 4})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(&b, "\nOnline bandit (8 KiB bcast, live plan switches at op boundaries):\n")
-	fmt.Fprintf(&b, "  best plan %s after %d switches, trace %v\n", on.Best.Name, on.Switches, on.Trace)
-	r.Metric("online_switches", float64(on.Switches))
 
 	r.Text = b.String()
 	return r, nil

@@ -46,15 +46,6 @@ type Config struct {
 	// (1 KiB, the CICO/XPMEM size-class boundary); negative disables
 	// fusion.
 	FuseBytes int
-	// SpinProbes is the unit of the waiter's yielding-spin budget: the
-	// per-flag budget is SpinProbes scaled by the group fan-in (waiter.go),
-	// and bulk-payload waits drop to a floor of exactly SpinProbes. 0
-	// selects the default (192).
-	SpinProbes int
-	// SpinScaleMax caps the small-fan-in multiplier of the spin budget
-	// (the fanin<=2 budget is SpinProbes*SpinScaleMax). 0 selects the
-	// default (8).
-	SpinScaleMax int
 }
 
 // DefaultConfig groups participants by 8 with 64 KiB chunks.
@@ -98,12 +89,6 @@ type Comm struct {
 	// inflight counts non-blocking requests issued but not yet completed,
 	// across all ranks (the requests.max_inflight gauge's source).
 	inflight atomic.Int64
-	// tuneGate is the all-ranks rendezvous ApplyTuning/Retune quiesce the
-	// communicator through before mutating the live knobs (tuning.go). A
-	// dedicated sense-reversing barrier, not the collective Barrier: its
-	// body must not read any knob being retuned, and the mutex/cond pair
-	// gives the knob stores a happens-before edge to every rank.
-	tuneGate rendezvous
 	// ag[r] exposes rank r's allgather contribution block; the op ends
 	// with barrier semantics, so a single slot per rank suffices.
 	ag []agSlot
@@ -261,7 +246,7 @@ type viewSlot struct {
 	cum   [8]uint64
 	// lastBytes is the payload size of the rank's most recent data op.
 	// Barrier waits (including allgather's exit barrier) select their spin
-	// budget through c.opBudget(budget, lastBytes): a barrier that follows a
+	// budget through opBudget(budget, lastBytes): a barrier that follows a
 	// bulk op is overwhelmingly waiting on stragglers still moving exactly
 	// that payload, so its early finishers must park at the floor instead
 	// of yield-storming through the copies; a barrier in a small-op or
@@ -297,7 +282,7 @@ type groupCtl struct {
 	leader     int
 	leaderSlot int
 	members    []int32
-	// spinBudget is spinBudgetFor(len(members)): waits on this group's
+	// spinBudget is spinBudget(len(members)): waits on this group's
 	// flags stay in the yielding spin phase longer the smaller the group.
 	spinBudget int
 	// exposed holds the leader's current buffer ([]byte for Bcast and
@@ -362,15 +347,8 @@ func New(n int, cfg Config) (*Comm, error) {
 	if cfg.ChunkBytes <= 0 {
 		cfg.ChunkBytes = 64 << 10
 	}
-	if cfg.SpinProbes <= 0 {
-		cfg.SpinProbes = spinProbes
-	}
-	if cfg.SpinScaleMax <= 0 {
-		cfg.SpinScaleMax = spinScaleMax
-	}
 	c := &Comm{n: n, cfg: cfg}
-	c.agBudget = c.spinBudgetFor(n)
-	c.tuneGate.cond = sync.NewCond(&c.tuneGate.mu)
+	c.agBudget = spinBudget(n)
 	c.states = make([]atomic.Pointer[state], n)
 	c.views = make([]viewSlot, n)
 	c.park = make([]parkNode, n)
@@ -463,7 +441,7 @@ func (c *Comm) buildState(root int) (*state, error) {
 			ctl := &groupCtl{
 				leader:     g.Leader,
 				members:    make([]int32, len(g.Members)),
-				spinBudget: c.spinBudgetFor(len(g.Members)),
+				spinBudget: spinBudget(len(g.Members)),
 				acks:       make([]flagLine, len(g.Members)),
 				red:        make([]flagLine, len(g.Members)),
 				contrib:    make([]contribSlot, len(g.Members)),
@@ -563,7 +541,7 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 		wc.mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else if n > 0 {
 		ctl := p.pull.ctl
-		c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, n))
+		c.wait(&ctl.expSeq, seq, rank, opBudget(ctl.spinBudget, n))
 		src := ctl.exposed
 		wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 		base := v.cum[p.pull.level]
@@ -575,7 +553,7 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 				avail = n
 			} else {
 				want := copied + min(c.cfg.ChunkBytes, n-copied)
-				avail = int(c.wait(&ctl.ready, base+uint64(want), rank, c.opBudget(ctl.spinBudget, n)) - base)
+				avail = int(c.wait(&ctl.ready, base+uint64(want), rank, opBudget(ctl.spinBudget, n)) - base)
 				if avail > n {
 					avail = n
 				}
@@ -600,7 +578,7 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 		lr := &p.lead[i]
 		for s := range lr.ctl.acks {
 			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, c.opBudget(lr.ctl.spinBudget, n))
+				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, n))
 			}
 		}
 	}
@@ -727,7 +705,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 		}
 		for s := range lr.ctl.red {
 			if s != lr.slot {
-				c.wait(&lr.ctl.red[s], seq*2+1, rank, c.opBudget(lr.ctl.spinBudget, n*8))
+				c.wait(&lr.ctl.red[s], seq*2+1, rank, opBudget(lr.ctl.spinBudget, n*8))
 			}
 		}
 		if i+1 < len(p.lead) {
@@ -754,10 +732,10 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			sole = true
 		}
 		if hi > lo {
-			c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, n*8))
+			c.wait(&ctl.expSeq, seq, rank, opBudget(ctl.spinBudget, n*8))
 			// Wait for every member's contribution to be ready.
 			for s := range ctl.red {
-				c.wait(&ctl.red[s], seq*2, rank, c.opBudget(ctl.spinBudget, n*8))
+				c.wait(&ctl.red[s], seq*2, rank, opBudget(ctl.spinBudget, n*8))
 			}
 			wc.mark(p.pull.level, obs.PhaseFlagWait, 0)
 			c.reduceSlice(ctl, op, lo, hi, out)
@@ -782,7 +760,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			ctl := p.pull.ctl
 			if !sole {
 				base := v.cum[p.pull.level]
-				c.wait(&ctl.ready, base+uint64(n), rank, c.opBudget(ctl.spinBudget, n*8))
+				c.wait(&ctl.ready, base+uint64(n), rank, opBudget(ctl.spinBudget, n*8))
 				wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 				final := ctl.exposedF
 				if &dst[0] != &final[0] {
@@ -809,7 +787,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 		ctl := p.pull.ctl
 		for s := range ctl.red {
 			if s != p.pull.slot && s != ctl.leaderSlot {
-				c.wait(&ctl.red[s], seq*2+1, rank, c.opBudget(ctl.spinBudget, n*8))
+				c.wait(&ctl.red[s], seq*2+1, rank, opBudget(ctl.spinBudget, n*8))
 			}
 		}
 	}
@@ -822,7 +800,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 		lr := &p.lead[i]
 		for s := range lr.ctl.acks {
 			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, c.opBudget(lr.ctl.spinBudget, n*8))
+				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, n*8))
 			}
 		}
 	}
@@ -897,14 +875,14 @@ func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *wallClock) {
 		lr := &p.lead[i]
 		for s := range lr.ctl.acks {
 			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, c.opBudget(lr.ctl.spinBudget, v.lastBytes))
+				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, v.lastBytes))
 			}
 		}
 	}
 	if p.hasPull {
 		ctl := p.pull.ctl
 		ctl.acks[p.pull.slot].set(seq)
-		c.wait(&ctl.ready, v.cum[p.pull.level]+1, rank, c.opBudget(ctl.spinBudget, v.lastBytes))
+		c.wait(&ctl.ready, v.cum[p.pull.level]+1, rank, opBudget(ctl.spinBudget, v.lastBytes))
 	}
 	for i := len(p.lead) - 1; i >= 0; i-- {
 		lr := &p.lead[i]
@@ -952,7 +930,7 @@ func (c *Comm) allgather(rank int, in, out []byte) {
 			copy(out[blockLen*r:blockLen*(r+1)], in)
 			continue
 		}
-		c.wait(&c.ag[r].seq, seq, rank, c.opBudget(c.agBudget, blockLen))
+		c.wait(&c.ag[r].seq, seq, rank, opBudget(c.agBudget, blockLen))
 		copy(out[blockLen*r:blockLen*(r+1)], c.ag[r].blk)
 	}
 	wc.mark(-1, obs.PhaseChunkCopy, int64(blockLen*c.n))
@@ -998,7 +976,7 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 		wc.mark(-1, obs.PhaseExpose, 0)
 		copy(out, in[blockLen*root:blockLen*(root+1)])
 	} else if blockLen > 0 {
-		c.wait(&ctl.expSeq, seq, rank, c.opBudget(ctl.spinBudget, blockLen))
+		c.wait(&ctl.expSeq, seq, rank, opBudget(ctl.spinBudget, blockLen))
 		wc.markFrom(-1, obs.PhaseFlagWait, 0, ctl.leader)
 		src := ctl.exposed
 		copy(out, src[blockLen*rank:blockLen*(rank+1)])
@@ -1014,7 +992,7 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 		lr := &p.lead[i]
 		for s := range lr.ctl.acks {
 			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, c.opBudget(lr.ctl.spinBudget, blockLen))
+				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, blockLen))
 			}
 		}
 	}

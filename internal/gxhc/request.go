@@ -508,7 +508,7 @@ func (c *Comm) fusedBcast(rank int, batch []*Request) {
 		ctl := p.pull.ctl
 		served := uint64(0)
 		for served < uint64(k) {
-			e := c.wait(&ctl.expSeq, first+served, rank, c.opBudget(ctl.spinBudget, n))
+			e := c.wait(&ctl.expSeq, first+served, rank, opBudget(ctl.spinBudget, n))
 			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
 			f := ctl.fuseFirst // re-read: the parent may have re-staged
 			src := ctl.exposed
@@ -544,7 +544,7 @@ func (c *Comm) fusedBcast(rank int, batch []*Request) {
 		lr := &p.lead[i]
 		for s := range lr.ctl.acks {
 			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], last, rank, c.opBudget(lr.ctl.spinBudget, n))
+				c.wait(&lr.ctl.acks[s], last, rank, opBudget(lr.ctl.spinBudget, n))
 			}
 		}
 	}

@@ -41,21 +41,19 @@ const (
 // time-sliced, everyone else's slice) for the whole fan-in, so it parks
 // after a modest budget and the writer's wake pays the handoff once.
 //
-// probes is the budget unit (Config.SpinProbes) and scaleMax caps the
-// small-fan-in multiplier (Config.SpinScaleMax). Under the defaults
-// (spinProbes, spinScaleMax): fanin <= 2 gets 8x spinProbes, halving with
-// each doubling down to 1x at >= 16.
-func spinBudget(probes, scaleMax, fanin int) int {
+// fanin <= 2 gets spinScaleMax (8x) spinProbes, halving with each
+// doubling down to 1x at >= 16.
+func spinBudget(fanin int) int {
 	if fanin < 1 {
 		fanin = 1
 	}
 	scale := spinScaleRef / fanin
 	if scale < 1 {
 		scale = 1
-	} else if scale > scaleMax {
-		scale = scaleMax
+	} else if scale > spinScaleMax {
+		scale = spinScaleMax
 	}
-	return probes * scale
+	return spinProbes * scale
 }
 
 // spinLargeBytes is the payload size above which an op's flag waits drop
@@ -68,28 +66,17 @@ func spinBudget(probes, scaleMax, fanin int) int {
 const spinLargeBytes = 32 << 10
 
 // opBudget selects the spin budget for one op: the group's fan-in-scaled
-// budget base when the payload is small, the parking floor when the op
-// moves bulk data. Barriers have no payload of their own and pass the
+// budget base when the payload is small, the parking floor (spinProbes)
+// when the op moves bulk data. Barriers have no payload of their own and pass the
 // rank's previous data-op size instead (viewSlot.lastBytes): a barrier
 // right after a bulk op is waiting on stragglers still moving that
 // payload, and its early finishers yield-storming through the copies is
 // the same slice-stealing the payload cutoff exists to prevent.
-func opBudget(base, floor, nbytes int) int {
+func opBudget(base, nbytes int) int {
 	if nbytes >= spinLargeBytes {
-		return floor
+		return spinProbes
 	}
 	return base
-}
-
-// spinBudgetFor and opBudget apply the two policies under the
-// communicator's live knobs (an online tuner can move them, tuning.go):
-// the bulk-payload floor is Config.SpinProbes.
-func (c *Comm) spinBudgetFor(fanin int) int {
-	return spinBudget(c.cfg.SpinProbes, c.cfg.SpinScaleMax, fanin)
-}
-
-func (c *Comm) opBudget(base, nbytes int) int {
-	return opBudget(base, c.cfg.SpinProbes, nbytes)
 }
 
 // flagLine is one monotonic synchronization counter laid out so that its

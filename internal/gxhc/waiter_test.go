@@ -26,14 +26,14 @@ func TestSpinBudgetPolicy(t *testing.T) {
 		{-3, spinProbes * spinScaleMax},
 	}
 	for _, c := range cases {
-		if got := spinBudget(spinProbes, spinScaleMax, c.fanin); got != c.want {
+		if got := spinBudget(c.fanin); got != c.want {
 			t.Errorf("spinBudget(%d) = %d, want %d", c.fanin, got, c.want)
 		}
 	}
 	// Monotone non-increasing in fan-in, never below the parking floor.
-	prev := spinBudget(spinProbes, spinScaleMax, 1)
+	prev := spinBudget(1)
 	for f := 2; f <= 4096; f++ {
-		b := spinBudget(spinProbes, spinScaleMax, f)
+		b := spinBudget(f)
 		if b > prev {
 			t.Fatalf("spinBudget(%d) = %d > spinBudget(%d) = %d", f, b, f-1, prev)
 		}
@@ -50,7 +50,7 @@ func TestSpinBudgetPolicy(t *testing.T) {
 // tens-of-microseconds chunk copy steals scheduler slices from the writer
 // (measured 2x on oversubscribed 1 MiB broadcasts).
 func TestOpBudgetPolicy(t *testing.T) {
-	wide := spinBudget(spinProbes, spinScaleMax, 2)
+	wide := spinBudget(2)
 	cases := []struct {
 		nbytes, want int
 	}{
@@ -61,7 +61,7 @@ func TestOpBudgetPolicy(t *testing.T) {
 		{1 << 20, spinProbes}, // bandwidth-bound
 	}
 	for _, c := range cases {
-		if got := opBudget(wide, spinProbes, c.nbytes); got != c.want {
+		if got := opBudget(wide, c.nbytes); got != c.want {
 			t.Errorf("opBudget(%d, %d) = %d, want %d", wide, c.nbytes, got, c.want)
 		}
 	}
@@ -82,13 +82,13 @@ func TestGroupCtlBudgetWiring(t *testing.T) {
 	}
 	for l, lvl := range st.groups {
 		for gi, ctl := range lvl {
-			if want := spinBudget(spinProbes, spinScaleMax, len(ctl.members)); ctl.spinBudget != want {
+			if want := spinBudget(len(ctl.members)); ctl.spinBudget != want {
 				t.Errorf("level %d group %d: spinBudget %d, want %d (fanin %d)",
 					l, gi, ctl.spinBudget, want, len(ctl.members))
 			}
 		}
 	}
-	if want := spinBudget(spinProbes, spinScaleMax, 8); c.agBudget != want {
+	if want := spinBudget(8); c.agBudget != want {
 		t.Errorf("agBudget %d, want %d", c.agBudget, want)
 	}
 }

@@ -429,15 +429,14 @@ func (w *World) AddOps(n int64) { w.ops += n }
 // Sync folds the world's latency histograms, critical-path blame and
 // fusion counters into the registry mid-run, without finishing the world:
 // a subsequent Sync or Finish folds only what accumulated afterwards, so
-// nothing is ever counted twice. This is the telemetry feed of the online
-// tuner (internal/tune): Registry.Snapshot after a Sync reflects every
-// operation completed so far, not just finished worlds.
+// nothing is ever counted twice. Registry.Snapshot after a Sync reflects
+// every operation completed so far, not just finished worlds — the
+// per-round telemetry the repository benchmark reads (perfbench).
 //
 // Call it only at a quiesced operation boundary — the per-lane histogram
 // maps are single-writer and unlocked. Simulated worlds may Sync any time
-// from the engine goroutine; gxhc communicators must Sync from rank 0
-// inside a Retune window (every rank parked in the rendezvous, request
-// workers drained), which is exactly where the bandit runs.
+// from the engine goroutine; a gxhc communicator may Sync only while every
+// rank is outside a collective and no request is in flight.
 //
 // The world-local engine/memory/cache counters are NOT folded here — they
 // arrive with Finish, whose signature carries them. A Sync'd registry

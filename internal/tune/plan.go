@@ -1,17 +1,10 @@
-// Package tune closes the telemetry→tuning loop (DESIGN.md §17): it
-// sweeps the tunable-knob space offline and persists the winning plan per
-// (platform, collective, size-class) cell, drives an online bandit that
-// reads the observability registry's histograms and critical-path blame to
-// switch the live plan at safe operation boundaries, and replays every
-// pinned cell as a no-regression gate.
+// Package tune is the offline autotuner (DESIGN.md §17): it sweeps the
+// tunable-knob space, persists the winning plan per (platform, collective,
+// size-class) cell, and replays every pinned cell as a no-regression gate.
 //
-// A Plan is a complete knob assignment — unlike core.Tuning/gxhc.Tuning it
-// has no "keep" sentinels, so two plans always compare knob for knob and a
-// plan file is self-contained. Plans split into construction-time knobs
-// (sensitivity, CICO buffer size, gxhc group size), which require building
-// a new communicator, and boundary-switchable knobs (chunking, CICO
-// threshold, fusion cap, spin budgets), which ApplyTuning can move on a
-// live communicator between operations.
+// A Plan is a complete knob assignment, so two plans always compare knob
+// for knob and a plan file is self-contained. Every knob is applied when
+// the communicator is constructed; a live communicator is never retuned.
 package tune
 
 import (
@@ -24,13 +17,12 @@ import (
 	"xhc/internal/coll"
 	"xhc/internal/core"
 	"xhc/internal/env"
-	"xhc/internal/gxhc"
 	"xhc/internal/hier"
 	"xhc/internal/topo"
 )
 
-// Plan is one complete assignment of the tunable knobs across both
-// backends. JSON field names are the plan-file wire format; Decode rejects
+// Plan is one complete assignment of the simulated backend's tunable
+// knobs. JSON field names are the plan-file wire format; Decode rejects
 // anything it does not recognize.
 type Plan struct {
 	// Name identifies the plan in reports and tie-breaks selection; it
@@ -38,33 +30,20 @@ type Plan struct {
 	Name string `json:"name"`
 	// Sensitivity is the hierarchy specification in the paper's
 	// "numa+socket" notation ("flat" or empty: single level).
-	// Construction-time: the hierarchy cannot move on a live communicator.
 	Sensitivity string `json:"sensitivity"`
 	// CICOThreshold routes messages <= this through the copy-in-copy-out
-	// path. Boundary-switchable.
+	// path.
 	CICOThreshold int `json:"cico_threshold"`
-	// CICOBytes sizes each rank's shared CICO buffer. Construction-time.
+	// CICOBytes sizes each rank's shared CICO buffer.
 	CICOBytes int `json:"cico_bytes"`
 	// ChunkBytes is the pipelining granule per hierarchy level (last entry
-	// covers deeper levels). Boundary-switchable.
+	// covers deeper levels).
 	ChunkBytes []int `json:"chunk_bytes"`
-	// FuseBytes caps the payload size the non-blocking request layer may
-	// fuse into one batch (0 disables fusion). Boundary-switchable, but
-	// never effective past the construction-time CICOThreshold, which
-	// sizes the staging buffers — Validate enforces the bound so a plan
-	// file cannot promise a cap the communicator would silently clamp.
-	FuseBytes int `json:"fuse_bytes"`
-	// GroupSize is the gxhc backend's leaf group fan-in. Construction-time.
-	GroupSize int `json:"group_size"`
-	// SpinProbes / SpinScaleMax parameterize the gxhc waiter's spin budget
-	// (budget unit and small-fan-in multiplier cap). Boundary-switchable.
-	SpinProbes   int `json:"spin_probes"`
-	SpinScaleMax int `json:"spin_scale_max"`
 }
 
-// DefaultPlan returns the paper defaults both backends boot with: the
-// baseline every sweep measures against and the plan name Select expects
-// to find among the samples.
+// DefaultPlan returns the paper defaults the simulated backend boots with:
+// the baseline every sweep measures against and the plan name Select
+// expects to find among the samples.
 func DefaultPlan() Plan {
 	return Plan{
 		Name:          "default",
@@ -72,10 +51,6 @@ func DefaultPlan() Plan {
 		CICOThreshold: 1 << 10,
 		CICOBytes:     16 << 10,
 		ChunkBytes:    []int{16 << 10},
-		FuseBytes:     1 << 10,
-		GroupSize:     8,
-		SpinProbes:    192,
-		SpinScaleMax:  8,
 	}
 }
 
@@ -107,17 +82,6 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("tune: plan %s: non-positive chunk size %d", p.Name, c)
 		}
 	}
-	if p.FuseBytes < 0 || p.FuseBytes > p.CICOThreshold {
-		return fmt.Errorf("tune: plan %s: fuse cap %d outside [0, CICO threshold %d]",
-			p.Name, p.FuseBytes, p.CICOThreshold)
-	}
-	if p.GroupSize < 2 {
-		return fmt.Errorf("tune: plan %s: group size %d < 2", p.Name, p.GroupSize)
-	}
-	if p.SpinProbes <= 0 || p.SpinScaleMax <= 0 {
-		return fmt.Errorf("tune: plan %s: non-positive spin budget (probes %d, scale max %d)",
-			p.Name, p.SpinProbes, p.SpinScaleMax)
-	}
 	return nil
 }
 
@@ -133,36 +97,6 @@ func (p Plan) CoreConfig() (core.Config, error) {
 	cfg.CICOBytes = p.CICOBytes
 	cfg.ChunkBytes = append([]int(nil), p.ChunkBytes...)
 	return cfg, nil
-}
-
-// GxhcConfig maps the plan onto a real-concurrency backend configuration.
-func (p Plan) GxhcConfig() gxhc.Config {
-	return gxhc.Config{
-		GroupSize:    p.GroupSize,
-		ChunkBytes:   p.ChunkBytes[0],
-		SpinProbes:   p.SpinProbes,
-		SpinScaleMax: p.SpinScaleMax,
-	}
-}
-
-// CoreTuning is the boundary-switchable projection of the plan for the
-// simulated backend's ApplyTuning.
-func (p Plan) CoreTuning() core.Tuning {
-	return core.Tuning{
-		ChunkBytes:    append([]int(nil), p.ChunkBytes...),
-		CICOThreshold: p.CICOThreshold,
-		FuseBytes:     p.FuseBytes,
-	}
-}
-
-// GxhcTuning is the boundary-switchable projection for gxhc's ApplyTuning.
-func (p Plan) GxhcTuning() gxhc.Tuning {
-	return gxhc.Tuning{
-		ChunkBytes:   p.ChunkBytes[0],
-		FuseBytes:    p.FuseBytes,
-		SpinProbes:   p.SpinProbes,
-		SpinScaleMax: p.SpinScaleMax,
-	}
 }
 
 // Builder wraps the plan as a coll registry builder, so osu benches and
@@ -181,29 +115,8 @@ func (p Plan) Builder() coll.Builder {
 // the final selection tie-break so Select stays total even between plans
 // that share a name.
 func (p Plan) key() string {
-	return fmt.Sprintf("%s|%s|%d|%d|%v|%d|%d|%d|%d",
-		p.Name, p.Sensitivity, p.CICOThreshold, p.CICOBytes, p.ChunkBytes,
-		p.FuseBytes, p.GroupSize, p.SpinProbes, p.SpinScaleMax)
-}
-
-// SwitchableFrom reports whether this plan can be applied to a live
-// communicator constructed from base: every construction-time knob must
-// match, leaving only the knobs ApplyTuning can actually move.
-func (p Plan) SwitchableFrom(base Plan) error {
-	if p.Sensitivity != base.Sensitivity {
-		return fmt.Errorf("tune: plan %s changes sensitivity (%q -> %q): construction-time", base.Name, base.Sensitivity, p.Sensitivity)
-	}
-	if p.CICOBytes != base.CICOBytes {
-		return fmt.Errorf("tune: plan %s changes CICO buffer (%d -> %d): construction-time", base.Name, base.CICOBytes, p.CICOBytes)
-	}
-	if p.GroupSize != base.GroupSize {
-		return fmt.Errorf("tune: plan %s changes group size (%d -> %d): construction-time", base.Name, base.GroupSize, p.GroupSize)
-	}
-	if p.FuseBytes > base.CICOThreshold {
-		return fmt.Errorf("tune: plan %s fuse cap %d exceeds staging capacity %d of the base plan",
-			p.Name, p.FuseBytes, base.CICOThreshold)
-	}
-	return nil
+	return fmt.Sprintf("%s|%s|%d|%d|%v",
+		p.Name, p.Sensitivity, p.CICOThreshold, p.CICOBytes, p.ChunkBytes)
 }
 
 // Size classes: the tuner picks one plan per class, not per exact byte
@@ -253,7 +166,7 @@ type CellPlan struct {
 }
 
 // FileVersion is the plan-file format version Decode accepts.
-const FileVersion = 1
+const FileVersion = 2
 
 // File is a persisted tuning plan: the winning plan per pinned cell of one
 // platform.

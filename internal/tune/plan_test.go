@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -55,8 +56,17 @@ func TestDecodeRejects(t *testing.T) {
 	}
 	reject("truncated", valid[:len(valid)/2], "")
 	reject("trailing-garbage", append(append([]byte{}, valid...), []byte("{}")...), "trailing")
-	reject("version-skew", []byte(strings.Replace(string(valid), `"version": 1`, `"version": 2`, 1)), "version")
+	reject("version-skew", []byte(strings.Replace(string(valid), `"version": 2`, `"version": 3`, 1)), "version")
 	reject("unknown-knob", []byte(strings.Replace(string(valid), `"cico_threshold"`, `"cico_limit"`, 1)), "unknown field")
+	reject("removed-knob", withGroupSize(valid), "unknown field")
+	// A version-1 file carries the four knobs version 2 dropped, and its
+	// version alone is skew.
+	v1, err := os.ReadFile("testdata/ARM-N1.v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reject("v1-file", v1, "unknown field")
+	reject("v1-version", []byte(strings.Replace(string(valid), `"version": 2`, `"version": 1`, 1)), "version")
 	reject("bad-platform", []byte(strings.ReplaceAll(string(valid), `"ARM-N1"`, `"VAX-11"`)), "platform")
 	reject("empty", nil, "")
 
@@ -70,16 +80,22 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := dup.Encode(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate cell not rejected: %v", err)
 	}
-	fuse := validFile()
-	fuse.Cells[0].Plan.FuseBytes = fuse.Cells[0].Plan.CICOThreshold + 1
-	if _, err := fuse.Encode(); err == nil || !strings.Contains(err.Error(), "fuse") {
-		t.Errorf("fuse cap past staging capacity not rejected: %v", err)
+	cico := validFile()
+	cico.Cells[0].Plan.CICOBytes = 2*cico.Cells[0].Plan.CICOThreshold - 1
+	if _, err := cico.Encode(); err == nil || !strings.Contains(err.Error(), "double-buffer") {
+		t.Errorf("CICO buffer below two threshold payloads not rejected: %v", err)
 	}
 	class := validFile()
 	class.Cells[0].SizeClass = ClassLarge
 	if _, err := class.Encode(); err == nil || !strings.Contains(err.Error(), "class") {
 		t.Errorf("mislabeled size class not rejected: %v", err)
 	}
+}
+
+// withGroupSize re-inserts the gxhc group-size knob that version 2 of the
+// plan file dropped, so the strict codec stays pinned on a removed knob.
+func withGroupSize(valid []byte) []byte {
+	return []byte(strings.Replace(string(valid), `"cico_threshold"`, `"group_size": 8, "cico_threshold"`, 1))
 }
 
 func TestLookup(t *testing.T) {
@@ -114,6 +130,7 @@ func FuzzPlanFile(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), `"size_class": "small"`, `"size_class": "huge"`, 1)))
 	f.Add([]byte(strings.ReplaceAll(string(valid), `8`, `-8`)))
 	f.Add(append(append([]byte{}, valid...), '{', '}'))
+	f.Add(withGroupSize(valid))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pf, err := Decode(data)
 		if err != nil {

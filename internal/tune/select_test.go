@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// splitmix64 steps the tests' deterministic pseudo-random stream.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // genSamples derives a pseudo-random but valid sample set from one seed:
 // cells from the pinned pool, plans from the candidate pool, means drawn
 // positive. The same seed always yields the same set.

@@ -2,7 +2,6 @@ package tune
 
 import (
 	"fmt"
-	"time"
 
 	"xhc/internal/osu"
 	"xhc/internal/topo"
@@ -17,8 +16,8 @@ type PinnedCell struct {
 
 // PinnedCells returns the platform's pinned cell set: the two headline
 // collectives of the paper's evaluation across the three size classes.
-// Sweep tunes them, xhctune -check replays them, and BENCH_tune.json
-// records them — all three must agree on this list.
+// Sweep tunes them and xhctune -check replays them — both must agree on
+// this list.
 func PinnedCells(platform string) []PinnedCell {
 	mk := func(coll string, size int) PinnedCell {
 		return PinnedCell{
@@ -53,8 +52,8 @@ func CandidatePlans() []Plan {
 		// CICO routing: raise the threshold so medium payloads take the
 		// copy-in-copy-out path instead of paying XPMEM exposure, or drop
 		// it so everything pays the single-copy path.
-		mk("cico-8k", func(p *Plan) { p.CICOThreshold = 8 << 10; p.CICOBytes = 32 << 10; p.FuseBytes = 8 << 10 }),
-		mk("cico-off", func(p *Plan) { p.CICOThreshold = 0; p.FuseBytes = 0 }),
+		mk("cico-8k", func(p *Plan) { p.CICOThreshold = 8 << 10; p.CICOBytes = 32 << 10 }),
+		mk("cico-off", func(p *Plan) { p.CICOThreshold = 0 }),
 		// Pipelining granule: finer chunks overlap level hops, coarser
 		// chunks amortize flag traffic.
 		mk("chunk-4k", func(p *Plan) { p.ChunkBytes = []int{4 << 10} }),
@@ -64,19 +63,6 @@ func CandidatePlans() []Plan {
 		mk("socket-only", func(p *Plan) { p.Sensitivity = "socket" }),
 		mk("flat", func(p *Plan) { p.Sensitivity = "flat" }),
 	}
-}
-
-// BenchCell mirrors xhcbench's -json cell record, so BENCH_tune.json is
-// diffable by xhcstat exactly like the other committed baselines.
-type BenchCell struct {
-	Platform   string  `json:"platform"`
-	Collective string  `json:"collective"`
-	Component  string  `json:"component"`
-	Size       int     `json:"size"`
-	AvgLatUS   float64 `json:"avg_lat_us"`
-	MinLatUS   float64 `json:"min_lat_us"`
-	MaxLatUS   float64 `json:"max_lat_us"`
-	WallMS     float64 `json:"wall_ms"`
 }
 
 // SweepOpts configures an offline sweep.
@@ -146,9 +132,8 @@ func Measure(c PinnedCell, p Plan, nranks, warmup, iters int) (osu.Result, error
 }
 
 // Sweep measures every candidate plan on every pinned cell, selects the
-// winner per cell, and returns the plan file plus the xhcstat-diffable
-// default-vs-tuned benchmark cells for BENCH_tune.json.
-func Sweep(o SweepOpts) (File, []BenchCell, error) {
+// winner per cell, and returns the plan file.
+func Sweep(o SweepOpts) (File, error) {
 	plans := o.Plans
 	if plans == nil {
 		plans = CandidatePlans()
@@ -160,18 +145,12 @@ func Sweep(o SweepOpts) (File, []BenchCell, error) {
 	warmup, iters := o.iters()
 
 	var samples []Sample
-	results := make(map[string]map[string]osu.Result) // cell key -> plan key -> result
-	walls := make(map[string]float64)                 // cell key -> total wall ms
 	for _, c := range cells {
-		results[c.Key()] = make(map[string]osu.Result, len(plans))
 		for _, p := range plans {
-			start := time.Now()
 			r, err := Measure(c, p, o.NRanks, warmup, iters)
 			if err != nil {
-				return File{}, nil, fmt.Errorf("tune: sweep %s plan %s: %w", c.Key(), p.Name, err)
+				return File{}, fmt.Errorf("tune: sweep %s plan %s: %w", c.Key(), p.Name, err)
 			}
-			walls[c.Key()] += float64(time.Since(start).Microseconds()) / 1e3
-			results[c.Key()][p.key()] = r
 			samples = append(samples, Sample{
 				Cell: c.Cell, Size: c.Size, Plan: p,
 				MeanUS: r.AvgLat, MinUS: r.MinLat, MaxUS: r.MaxLat,
@@ -184,32 +163,7 @@ func Sweep(o SweepOpts) (File, []BenchCell, error) {
 
 	f := File{Version: FileVersion, Platform: o.Platform, Cells: Select(samples)}
 	if err := f.Validate(); err != nil {
-		return File{}, nil, err
+		return File{}, err
 	}
-
-	// BENCH_tune.json rows: the default and the winner on every pinned
-	// cell, as measured by this sweep. Wall time is charged to the tuned
-	// row (the sweep cost of reaching the verdict); the default row
-	// carries zero so self-diffs key on simulated latency only.
-	def := DefaultPlan()
-	var bench []BenchCell
-	for _, cp := range f.Cells {
-		rd, ok := results[cp.Key()][def.key()]
-		if !ok {
-			return File{}, nil, fmt.Errorf("tune: sweep never measured the default plan on %s", cp.Key())
-		}
-		rt := results[cp.Key()][cp.Plan.key()]
-		bench = append(bench,
-			BenchCell{
-				Platform: cp.Platform, Collective: cp.Collective, Component: "xhc-default",
-				Size: cp.Size, AvgLatUS: rd.AvgLat, MinLatUS: rd.MinLat, MaxLatUS: rd.MaxLat,
-			},
-			BenchCell{
-				Platform: cp.Platform, Collective: cp.Collective, Component: "xhc-tuned",
-				Size: cp.Size, AvgLatUS: rt.AvgLat, MinLatUS: rt.MinLat, MaxLatUS: rt.MaxLat,
-				WallMS: walls[cp.Key()],
-			},
-		)
-	}
-	return f, bench, nil
+	return f, nil
 }

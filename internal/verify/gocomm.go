@@ -91,21 +91,10 @@ func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) e
 					time.Sleep(delay)
 				}
 			}
-			// Mid-run tuning switch, at the same op boundary the simulated
-			// run uses: every rank calls ApplyTuning collectively before
-			// issuing op AfterOp+1 (the rendezvous inside quiesces the
-			// communicator), and the byte-exactness oracle below must hold
-			// unchanged across the plan change.
-			retune := func(op int) {
-				if c.Switch != nil && op == c.Switch.AfterOp+1 {
-					comm.ApplyTuning(rank, c.Switch.gxhcTuning())
-				}
-			}
 			switch c.Kind {
 			case KindBcast:
 				buf := make([]byte, c.Bytes)
 				for op := 0; op < c.Ops; op++ {
-					retune(op)
 					copy(buf, ref.fill[op][rank])
 					straggle()
 					comm.Bcast(rank, buf, c.Root)
@@ -116,7 +105,6 @@ func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) e
 				}
 			case KindBarrier:
 				for op := 0; op < c.Ops; op++ {
-					retune(op)
 					straggle()
 					stamps[rank].Store(uint64(op + 1))
 					comm.Barrier(rank)
@@ -131,7 +119,6 @@ func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) e
 				in := make([]byte, c.Bytes)
 				out := make([]byte, c.Bytes*c.Ranks)
 				for op := 0; op < c.Ops; op++ {
-					retune(op)
 					copy(in, ref.fill[op][rank])
 					fillJunk(out, uint64(op))
 					straggle()
@@ -148,7 +135,6 @@ func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) e
 				}
 				out := make([]byte, c.Bytes)
 				for op := 0; op < c.Ops; op++ {
-					retune(op)
 					if rank == c.Root {
 						copy(in, ref.fill[op][rank])
 					}
@@ -170,7 +156,6 @@ func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) e
 				dst := make([]float64, n)
 				want := make([]float64, n)
 				for op := 0; op < c.Ops; op++ {
-					retune(op)
 					mpi.DecodeFloat64s(ref.fill[op][rank], src)
 					mpi.DecodeFloat64s(ref.want[op], want)
 					for i := range dst {

@@ -198,21 +198,6 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	record("allgather/clean", false, runMutantSched(allgather, nil, faultSchedule()))
 	record("allgather/early-ready", true, runMutantSched(allgather, &core.ChaosConfig{EarlyReady: true}, faultSchedule()))
 
-	// The tuner mutant (DESIGN.md §17): a plan applied in the middle of an
-	// operation instead of at the quiesced boundary ApplyTuning enforces.
-	// Sized onto the CICO path (Bytes <= threshold): the root moves the
-	// CICO/XPMEM boundary after it has dispatched; peers that dispatch the
-	// same op afterwards take the XPMEM path and wait on an exposure the
-	// root's CICO path never publishes — the deadlock detector converts the
-	// hang. A clean control runs a legitimate boundary switch on the same
-	// shape and must pass.
-	tune := base
-	tune.Bytes = 512
-	tuneSwitch := tune
-	tuneSwitch.Switch = &SwitchCase{AfterOp: 1, Chunk: 1 << 10, CICOThreshold: 0, FuseBytes: -1}
-	record("tune/clean-switch", false, runMutant(tuneSwitch, nil))
-	record("tune/mid-op-switch", true, runMutant(tune, &core.ChaosConfig{MidOpTune: true}))
-
 	// The non-blocking concurrency runner (DESIGN.md §15): a clean control,
 	// then the three request-layer mutants on the simulated backend. The
 	// payloads sit inside the fusion size class, so the fused traversal is

@@ -176,14 +176,6 @@ func runSim(c Case, s Schedule, what string, reg *obs.Registry,
 	snaps := make([]memSnap, c.Ops)
 	runErr := w.Run(func(p *env.Proc) {
 		for op := 0; op < c.Ops; op++ {
-			if c.Switch != nil && xc != nil && op == c.Switch.AfterOp+1 {
-				// Mid-run tuning switch: every rank applies the new plan at
-				// this op boundary (the barrier sandwich inside ApplyTuning
-				// quiesces the communicator). Only the XHC communicator is
-				// retuned — baselines have no tunable knobs — and the data
-				// oracle below must stay byte-exact regardless.
-				xc.ApplyTuning(p, c.Switch.coreTuning())
-			}
 			p.HarnessBarrier()
 			// Refill this rank's buffers (harness scaffolding: direct
 			// writes plus a residency mark, no model time).
@@ -275,19 +267,11 @@ func runSim(c Case, s Schedule, what string, reg *obs.Registry,
 	}
 	// Control structures are per-communicator: lazily built state may be
 	// allocated during the first op, but from then on the counts must not
-	// move. A mid-run tuning switch re-baselines once: the first op under
-	// the new plan may lazily build the other data path's state (a moved
-	// CICO boundary sends ops through exposure structures the old plan
-	// never touched), after which the counts must again stay flat.
-	base := 1
+	// move.
 	for op := 2; op < c.Ops; op++ {
-		if c.Switch != nil && xc != nil && op == c.Switch.AfterOp+1 {
-			base = op
-			continue
-		}
-		if snaps[op] != snaps[base] {
-			return fail(fmt.Errorf("%s: control memory grows per operation: %d lines/%d buffers after op %d, %d/%d after op %d",
-				what, snaps[base].lines, snaps[base].bufs, base+1, snaps[op].lines, snaps[op].bufs, op+1))
+		if snaps[op] != snaps[1] {
+			return fail(fmt.Errorf("%s: control memory grows per operation: %d lines/%d buffers after op 2, %d/%d after op %d",
+				what, snaps[1].lines, snaps[1].bufs, snaps[op].lines, snaps[op].bufs, op+1))
 		}
 	}
 	return hash, nil

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"xhc/internal/core"
-	"xhc/internal/gxhc"
 	"xhc/internal/hier"
 	"xhc/internal/mpi"
 	"xhc/internal/sim"
@@ -110,48 +109,6 @@ type Case struct {
 	// collectives on one node at the same time, on both the simulated and
 	// the real-concurrency backend (DESIGN.md §15).
 	Conc *ConcCase
-
-	// Switch, when non-nil, retunes the communicator mid-run exactly the
-	// way the online autotuner would (DESIGN.md §17): every rank calls
-	// ApplyTuning at the same blocking-op boundary — never inside a
-	// non-blocking window — and every invariant must keep holding across
-	// the plan change on both backends.
-	Switch *SwitchCase
-}
-
-// SwitchCase is a mid-run tuning-plan change. The knobs mirror what
-// internal/tune's bandit moves on a live communicator: chunk granule, the
-// CICO/XPMEM boundary (simulated backend only), the fusion cap, and the
-// gxhc waiter budget.
-type SwitchCase struct {
-	// AfterOp is the 0-based index of the last operation run under the
-	// construction-time plan; the switch applies before op AfterOp+1.
-	AfterOp       int
-	Chunk         int
-	CICOThreshold int // simulated backend only (gxhc has no CICO split)
-	FuseBytes     int // -1 keep, 0 disable fusion, >0 fusable-payload cap
-	SpinProbes    int // gxhc only: 0 keeps the default waiter budget
-}
-
-func (sw *SwitchCase) coreTuning() core.Tuning {
-	t := core.KeepTuning()
-	t.ChunkBytes = []int{sw.Chunk}
-	t.CICOThreshold = sw.CICOThreshold
-	t.FuseBytes = sw.FuseBytes
-	return t
-}
-
-func (sw *SwitchCase) gxhcTuning() gxhc.Tuning {
-	t := gxhc.KeepTuning()
-	t.ChunkBytes = sw.Chunk
-	t.FuseBytes = sw.FuseBytes
-	t.SpinProbes = sw.SpinProbes
-	return t
-}
-
-func (sw *SwitchCase) String() string {
-	return fmt.Sprintf("switch(after=%d chunk=%d cico<=%d fuse=%d probes=%d)",
-		sw.AfterOp, sw.Chunk, sw.CICOThreshold, sw.FuseBytes, sw.SpinProbes)
 }
 
 // ConcComm is one communicator of a concurrency phase. The first entry is
@@ -312,22 +269,6 @@ func DeriveCase(seed uint64) Case {
 		}
 		c.Conc = cc
 	}
-	// Tuning-switch draw, appended after the concurrency draw under the
-	// same compatibility rule (every earlier draw stays byte-identical). A
-	// quarter of the seeds retune the communicator between two of the
-	// run's blocking ops, moving the chunk granule, the CICO boundary, the
-	// fusion cap and the gxhc waiter budget at once — the exact call shape
-	// of the online tuner's plan application.
-	sw := r.next()
-	if sw%4 == 0 {
-		c.Switch = &SwitchCase{
-			AfterOp:       1 + int((sw>>8)%2),
-			Chunk:         chunkSizes[(sw>>16)%uint64(len(chunkSizes))],
-			CICOThreshold: cicoThresholds[(sw>>24)%uint64(len(cicoThresholds))],
-			FuseBytes:     []int{-1, 0, 256, 1 << 10}[(sw>>32)%4],
-			SpinProbes:    []int{0, 64, 384}[(sw>>40)%3],
-		}
-	}
 	return c
 }
 
@@ -356,9 +297,6 @@ func (c Case) String() string {
 		c.Chunk, c.CICOThreshold, c.Flags, c.RegCache, c.Baseline)
 	if c.Conc != nil {
 		s += " +" + c.Conc.String()
-	}
-	if c.Switch != nil {
-		s += " +" + c.Switch.String()
 	}
 	return s
 }

@@ -14,11 +14,6 @@ go test -shuffle=on ./...
 # panicking-rank tests pin the gxhc outputs the benchmark times.
 (cd perfbench && go test ./...)
 go test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/
-# tune's online bandit drives live gxhc communicators (plan switches at
-# quiesced boundaries with goroutines parked around them); the race pass
-# is scoped to those tests — the sweep/select tests are single-threaded
-# simulation and already covered unraced above.
-go test -race -run 'Online' ./internal/tune/
 
 # Schedule-exploration gate: sweep randomized configurations under seeded
 # random/PCT schedules with fault injection, cross-checking XHC against a
@@ -127,7 +122,6 @@ go run ./cmd/xhcstat -baseline "$tmpdir/cells.json" -current "$tmpdir/cells.json
 go run ./cmd/xhcstat -baseline "$tmpdir/cells_sc.json" -current "$tmpdir/cells_sc.json" > /dev/null
 go run ./cmd/xhcstat -baseline BENCH_gxhc.json -current BENCH_gxhc.json > /dev/null
 go run ./cmd/xhcstat -baseline "$tmpdir/cells_tu.json" -current "$tmpdir/cells_tu.json" > /dev/null
-go run ./cmd/xhcstat -baseline BENCH_tune.json -current BENCH_tune.json > /dev/null
 
 # Non-blocking overlap cells (ibcast-overlap: overlapDepth broadcasts in
 # flight with fusion off; ibcast-fused: the same window fused into one
