@@ -26,7 +26,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"xhc/internal/coll"
 	"xhc/internal/core"
@@ -42,9 +41,10 @@ import (
 	"xhc/internal/tune"
 )
 
-// cellRecord is one (component, size) measurement in the -json output:
-// the simulated latency plus how long the simulator itself took to produce
-// it, which is what BENCH_flowsolver.json-style perf comparisons track.
+// cellRecord is one (component, size) measurement in the -json output.
+// It carries latencies only, never host time: on the simulated backends
+// every field is virtual time, so a -json file is byte-reproducible and
+// BENCH_cluster.json is exactly such a file.
 type cellRecord struct {
 	Platform   string  `json:"platform"`
 	Collective string  `json:"collective"`
@@ -53,7 +53,6 @@ type cellRecord struct {
 	AvgLatUS   float64 `json:"avg_lat_us"`
 	MinLatUS   float64 `json:"min_lat_us"`
 	MaxLatUS   float64 `json:"max_lat_us"`
-	WallMS     float64 `json:"wall_ms"`
 }
 
 func main() {
@@ -71,7 +70,7 @@ func main() {
 	listComp := flag.Bool("listcomp", false, "list components and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	jsonOut := flag.String("json", "", "also write per-cell results (sim latency + wall-clock) as JSON to this file")
+	jsonOut := flag.String("json", "", "also write per-cell latencies (avg/min/max us) as JSON to this file")
 	procsArg := flag.String("procs", "", "gxhc backend: comma-separated GOMAXPROCS settings to sweep (default: current)")
 	groupSize := flag.Int("group", 8, "gxhc backend: hierarchy leaf group size")
 	chunkBytes := flag.Int("chunk", 64<<10, "gxhc backend: broadcast pipelining chunk bytes")
@@ -263,7 +262,6 @@ func runSim(o simOpts) []cellRecord {
 				}
 				b.Custom = cp.Plan.Builder()
 			}
-			start := time.Now()
 			var rs []osu.Result
 			var err error
 			switch o.coll {
@@ -290,7 +288,6 @@ func runSim(o simOpts) []cellRecord {
 			if len(rs) == 0 {
 				continue
 			}
-			wall := time.Since(start)
 			r := rs[0]
 			all[name][r.Size] = r.AvgLat
 			if !seenSize[r.Size] {
@@ -300,7 +297,6 @@ func runSim(o simOpts) []cellRecord {
 			records = append(records, cellRecord{
 				Platform: top.Name, Collective: o.coll, Component: name,
 				Size: r.Size, AvgLatUS: r.AvgLat, MinLatUS: r.MinLat, MaxLatUS: r.MaxLat,
-				WallMS: float64(wall.Microseconds()) / 1e3,
 			})
 		}
 	}
@@ -335,11 +331,12 @@ type clusterOpts struct {
 // measured size, an OSU-style warmup+measured loop on every rank, and
 // latencies in simulated microseconds averaged over all ranks and iters.
 // Unlike the other backends -coll accepts a comma-separated list here, so
-// one invocation can emit the whole BENCH_cluster.json sweep. Latencies
-// are virtual time, so every cell is bit-reproducible: the committed
-// baseline diffs exactly against a fresh run, and the per-node engine
-// shards running on -workers goroutines cannot change a digit
-// (scripts/check.sh gates both properties).
+// one invocation emits the whole BENCH_cluster.json sweep (`make
+// bench-cluster` writes it). Latencies are virtual time, so every cell is
+// bit-reproducible: TestClusterBaselineExact requires a fresh in-process
+// sweep to equal the committed file float for float, and the per-node
+// engine shards running on -workers goroutines cannot change a digit
+// (scripts/check.sh cmps the -workers 1 and -workers 4 reports).
 func runCluster(cl *topo.Cluster, o clusterOpts) []cellRecord {
 	perNode := o.nranks
 	if perNode == 0 {
@@ -394,7 +391,6 @@ func runCluster(cl *topo.Cluster, o clusterOpts) []cellRecord {
 		var rowSizes []int
 		col := map[int]float64{}
 		for _, size := range sizes {
-			start := time.Now()
 			m, err := cl.Node.Map(topo.MapCore, perNode)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -456,13 +452,11 @@ func runCluster(cl *topo.Cluster, o clusterOpts) []cellRecord {
 			if len(all) == 0 {
 				continue
 			}
-			wall := time.Since(start)
 			col[size] = stats.Mean(all)
 			rowSizes = append(rowSizes, size)
 			records = append(records, cellRecord{
 				Platform: cl.Name, Collective: coll, Component: "xhc-cluster",
 				Size: size, AvgLatUS: stats.Mean(all), MinLatUS: stats.Min(all), MaxLatUS: stats.Max(all),
-				WallMS: float64(wall.Microseconds()) / 1e3,
 			})
 		}
 
@@ -494,8 +488,10 @@ type gxhcOpts struct {
 // measured size. Like the cluster backend, -coll accepts a comma-separated
 // list here, so one invocation can emit e.g. both non-blocking overlap
 // cells (ibcast-overlap, ibcast-fused) into one cells file. The -json
-// cells key the GOMAXPROCS setting into the platform field ("gxhc-P<n>")
-// so xhcstat diffs stay per-setting.
+// cells key the GOMAXPROCS setting into the platform field ("gxhc-P<n>"),
+// so cells measured under different settings never share a key. These
+// latencies are wall clock and vary run to run; no committed file gates
+// them (the perfbench/ module is the gxhc benchmark).
 func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 	np := o.nranks
 	if np == 0 {
@@ -545,7 +541,6 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 			colLabels[pi] = fmt.Sprintf("P%d", p)
 			cols[pi] = map[int]float64{}
 			for _, size := range o.sizes {
-				start := time.Now()
 				rs, err := spec.Run([]int{size})
 				if err != nil {
 					fmt.Fprintln(os.Stderr, err)
@@ -554,7 +549,6 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 				if len(rs) == 0 {
 					continue
 				}
-				wall := time.Since(start)
 				r := rs[0]
 				cols[pi][r.Size] = r.AvgLat
 				if !seenSize[r.Size] {
@@ -564,7 +558,6 @@ func runGxhc(o gxhcOpts, reg *obs.Registry) []cellRecord {
 				records = append(records, cellRecord{
 					Platform: fmt.Sprintf("gxhc-P%d", p), Collective: coll, Component: component,
 					Size: r.Size, AvgLatUS: r.AvgLat, MinLatUS: r.MinLat, MaxLatUS: r.MaxLat,
-					WallMS: float64(wall.Microseconds()) / 1e3,
 				})
 			}
 			if o.allocGate {

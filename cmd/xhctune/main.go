@@ -12,8 +12,7 @@
 //	    default plan and the file's winning plan; fail if any tuned cell
 //	    is more than 5% and 1us slower than the default.
 //
-// Exit status: 0 success, 1 regression, 2 usage or plan-file error — the
-// same convention as xhcstat.
+// Exit status: 0 success, 1 regression, 2 usage or plan-file error.
 package main
 
 import (

@@ -357,13 +357,6 @@ func (t *Tuned) rabenseifner(p *env.Proc, rbuf *mem.Buffer, n int, dt mpi.Dataty
 	t.foldOut(p, rbuf, n, tagB)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // SetOnMessage installs a message observer on the underlying p2p layer
 // (used by the Table II message-distance accounting).
 func (t *Tuned) SetOnMessage(f func(src, dst, n int)) { t.P.OnMessage = f }

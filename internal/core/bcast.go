@@ -213,10 +213,3 @@ func (c *Comm) ackPhase(p *env.Proc, st *commState, view *rankView, pc *phaseClo
 	}
 	pc.mark(-1, obs.PhaseAck, 0)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

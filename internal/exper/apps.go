@@ -151,10 +151,3 @@ func runFig14(o Options) (*Report, error) {
 	})
 	return r, err
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

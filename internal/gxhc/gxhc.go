@@ -1002,17 +1002,3 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 	wc.mark(-1, obs.PhaseAck, 0)
 	wc.finish()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -313,17 +313,3 @@ func (p *P2P) SendSync(ep *env.Proc, dst, tag int, buf *mem.Buffer, off, n int) 
 		c.done.WaitGE(ep.S, ep.Core, c.sendSeq)
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 )
 
-// Regression thresholds, shared with cmd/xhcstat's defaults: a tuned cell
+// Regression thresholds of the repro gate: a tuned cell
 // regresses when it is both more than RegressionFloorUS slower in absolute
 // terms (sub-microsecond noise on tiny cells must not fail the gate) and
 // more than RegressionThreshold slower relative to the default plan.

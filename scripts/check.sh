@@ -3,7 +3,7 @@
 # exercise real concurrency: gxhc (goroutine-backed library), env (harness
 # plumbing), verify (schedule-exploration checker, which drives gxhc) —
 # exper's parallel experiment cells are covered transitively.
-# Equivalent to `make check`; kept as a script for environments without make.
+# This script is the one definition of the gate; `make check` runs it.
 set -eux
 
 go build ./...
@@ -62,12 +62,12 @@ cmp "$tmpdir/seq.md" "$tmpdir/par.md"
 # address on stderr only. Checked on bcast and on one of the newer
 # collectives (scatter).
 go run ./cmd/xhcbench -platform ARM-N1 -coll bcast -comp xhc-tree,tuned \
-    -sizes 4,1024,65536 -json "$tmpdir/cells.json" > "$tmpdir/bench_off.txt"
+    -sizes 4,1024,65536 > "$tmpdir/bench_off.txt"
 go run ./cmd/xhcbench -platform ARM-N1 -coll bcast -comp xhc-tree,tuned \
     -sizes 4,1024,65536 -telemetry 127.0.0.1:0 > "$tmpdir/bench_on.txt" 2>/dev/null
 cmp "$tmpdir/bench_off.txt" "$tmpdir/bench_on.txt"
 go run ./cmd/xhcbench -platform ARM-N1 -coll scatter -comp xhc-tree,tuned,sm \
-    -sizes 4,1024,65536 -json "$tmpdir/cells_sc.json" > "$tmpdir/sc_off.txt"
+    -sizes 4,1024,65536 > "$tmpdir/sc_off.txt"
 go run ./cmd/xhcbench -platform ARM-N1 -coll scatter -comp xhc-tree,tuned,sm \
     -sizes 4,1024,65536 -telemetry 127.0.0.1:0 > "$tmpdir/sc_on.txt" 2>/dev/null
 cmp "$tmpdir/sc_off.txt" "$tmpdir/sc_on.txt"
@@ -78,8 +78,7 @@ cmp "$tmpdir/sc_off.txt" "$tmpdir/sc_on.txt"
 # serving live telemetry while the tuner's plans are active must not move
 # a simulated latency by a byte, exactly as for the stock components.
 go run ./cmd/xhcbench -platform ARM-N1 -coll bcast -comp xhc-tree,xhc-tuned \
-    -tuned tuned/ARM-N1.json -sizes 4,1024,65536 \
-    -json "$tmpdir/cells_tu.json" > "$tmpdir/tu_off.txt"
+    -tuned tuned/ARM-N1.json -sizes 4,1024,65536 > "$tmpdir/tu_off.txt"
 go run ./cmd/xhcbench -platform ARM-N1 -coll bcast -comp xhc-tree,xhc-tuned \
     -tuned tuned/ARM-N1.json -sizes 4,1024,65536 \
     -telemetry 127.0.0.1:0 > "$tmpdir/tu_on.txt" 2>/dev/null
@@ -104,8 +103,7 @@ tune_pid=$!
 # masked (structure, labels, sizes), while -allocgate holds both runs to
 # an allocation-free op path.
 go run ./cmd/xhcbench -backend gxhc -coll allreduce -np 4 -procs 2 \
-    -sizes 4096 -warmup 5 -iters 20 -allocgate \
-    -json "$tmpdir/cells_gx.json" > "$tmpdir/gx_off.txt"
+    -sizes 4096 -warmup 5 -iters 20 -allocgate > "$tmpdir/gx_off.txt"
 go run ./cmd/xhcbench -backend gxhc -coll allreduce -np 4 -procs 2 \
     -sizes 4096 -warmup 5 -iters 20 -allocgate \
     -telemetry 127.0.0.1:0 > "$tmpdir/gx_on.txt" 2>/dev/null
@@ -113,42 +111,26 @@ sed 's/[0-9][0-9.]*/N/g; s/  */ /g; s/--*/-/g' "$tmpdir/gx_off.txt" > "$tmpdir/g
 sed 's/[0-9][0-9.]*/N/g; s/  */ /g; s/--*/-/g' "$tmpdir/gx_on.txt" > "$tmpdir/gx_on_shape.txt"
 cmp "$tmpdir/gx_off_shape.txt" "$tmpdir/gx_on_shape.txt"
 
-# Regression gate sanity: xhcstat must pass a self-diff of the cells it
-# just measured (zero regressions against itself, exit 0), and of the
-# committed real-backend baseline (BENCH_gxhc.json, whose benchmark names
-# are xhcbench -backend gxhc -json cell keys — a fresh cells file diffs
-# directly against it).
-go run ./cmd/xhcstat -baseline "$tmpdir/cells.json" -current "$tmpdir/cells.json" > /dev/null
-go run ./cmd/xhcstat -baseline "$tmpdir/cells_sc.json" -current "$tmpdir/cells_sc.json" > /dev/null
-go run ./cmd/xhcstat -baseline BENCH_gxhc.json -current BENCH_gxhc.json > /dev/null
-go run ./cmd/xhcstat -baseline "$tmpdir/cells_tu.json" -current "$tmpdir/cells_tu.json" > /dev/null
-
 # Non-blocking overlap cells (ibcast-overlap: overlapDepth broadcasts in
 # flight with fusion off; ibcast-fused: the same window fused into one
-# traversal), with the zero-alloc gate held on every cell. xhcstat diffs
-# only cells present in both key sets, so the new cells must self-diff
-# cleanly — both the freshly measured file and the committed
-# BENCH_overlap.json trajectory (wall-clock numbers vary run to run, so
-# the committed file gates key coverage, like BENCH_gxhc.json; regenerate
-# with `make bench-overlap`).
+# traversal), with the zero-alloc gate held on every cell.
 go run ./cmd/xhcbench -backend gxhc -coll ibcast-overlap,ibcast-fused -np 4 -procs 2 \
-    -sizes 256,1024 -warmup 5 -iters 20 -allocgate \
-    -json "$tmpdir/cells_ov.json" > /dev/null
-go run ./cmd/xhcstat -baseline "$tmpdir/cells_ov.json" -current "$tmpdir/cells_ov.json" > /dev/null
-go run ./cmd/xhcstat -baseline BENCH_overlap.json -current BENCH_overlap.json > /dev/null
+    -sizes 256,1024 -warmup 5 -iters 20 -allocgate > /dev/null
 
 # Cluster determinism + baseline gate: the sharded (workers=4) report must
-# be byte-identical to the sequential (workers=1) reference, and the
-# committed BENCH_cluster.json must diff cleanly against a fresh sweep in
-# both directions — cluster latencies are simulated virtual time, so any
-# difference at all is a real model/protocol/determinism change, not
-# measurement noise.
+# be byte-identical to the sequential (workers=1) reference, and the fresh
+# sequential -json cells must be byte-identical to the committed
+# BENCH_cluster.json — cluster latencies are simulated virtual time, so
+# any difference at all is a real model/protocol/determinism change, not
+# measurement noise (TestClusterBaselineExact holds the same file under
+# `go test ./...`).
 go run ./cmd/xhcbench -platform 4xEpyc-1P -coll bcast,allreduce,reduce,barrier \
     -np 32 -sizes 8,1024,65536,1048576 -workers 1 \
     -json "$tmpdir/cells_cl.json" > "$tmpdir/cl_seq.txt"
 go run ./cmd/xhcbench -platform 4xEpyc-1P -coll bcast,allreduce,reduce,barrier \
     -np 32 -sizes 8,1024,65536,1048576 -workers 4 > "$tmpdir/cl_par.txt"
 cmp "$tmpdir/cl_seq.txt" "$tmpdir/cl_par.txt"
+cmp "$tmpdir/cells_cl.json" BENCH_cluster.json
 
 # Telemetry invariance on the cluster platform: live serving turns on the
 # NIC/fabric overlay blame, the critical-path accumulator and the
@@ -159,8 +141,6 @@ go run ./cmd/xhcbench -platform 4xEpyc-1P -coll bcast,allreduce,reduce,barrier \
     -np 32 -sizes 8,1024,65536,1048576 -workers 1 \
     -telemetry 127.0.0.1:0 > "$tmpdir/cl_tel.txt" 2>/dev/null
 cmp "$tmpdir/cl_seq.txt" "$tmpdir/cl_tel.txt"
-go run ./cmd/xhcstat -baseline BENCH_cluster.json -current "$tmpdir/cells_cl.json" > /dev/null
-go run ./cmd/xhcstat -baseline "$tmpdir/cells_cl.json" -current BENCH_cluster.json > /dev/null
 
 # Reap the backgrounded tuner gate (see above): only an explicit per-pid
 # wait makes its failure fail the whole script.
