@@ -7,6 +7,7 @@ import (
 	"xhc/internal/hier"
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 )
 
@@ -20,6 +21,8 @@ type SMHC struct {
 	cfg  SMHCConfig
 	h    *hier.Hierarchy
 	segs []*mem.Buffer // per-rank shared staging segments
+	// plans[r] is rank r's led groups (innermost first) and pull group.
+	plans []proto.Plan[*hier.Group]
 
 	// ready[level][group]: leader-owned staged-bytes counter.
 	ready [][]*shm.Flag
@@ -70,6 +73,7 @@ func NewSMHC(w *env.World, cfg SMHCConfig) (*SMHC, error) {
 		return nil, err
 	}
 	s := &SMHC{W: w, cfg: cfg, h: h}
+	s.plans = proto.Build(h, func(l, gi int) *hier.Group { return &h.GroupsAt(l)[gi] })
 	s.segs = make([]*mem.Buffer, w.N)
 	for r := 0; r < w.N; r++ {
 		s.segs[r] = w.NewBufferAt(fmt.Sprintf("smhc.seg.%d", r), r, cfg.SegBytes)
@@ -118,37 +122,11 @@ func MustNewSMHC(w *env.World, cfg SMHCConfig) *SMHC {
 	return s
 }
 
-func (s *SMHC) groupOf(l, rank int) (*hier.Group, int) {
-	g, ok := s.h.GroupOf(l, rank)
-	if !ok {
-		return nil, -1
+// announce publishes copied staged bytes to every group in lead.
+func (s *SMHC) announce(p *env.Proc, v *smhcView, lead []proto.Role[*hier.Group], copied int) {
+	for _, r := range lead {
+		s.ready[r.Level][r.G.Index].Set(p.S, p.Core, v.cumBytes[r.Level]+uint64(copied))
 	}
-	return g, g.Index
-}
-
-func (s *SMHC) pullLevel(rank int) int {
-	pl := -1
-	for l := 0; l < s.h.NLevels(); l++ {
-		if _, ok := s.h.GroupOf(l, rank); !ok {
-			break
-		}
-		if !s.h.IsLeader(l, rank) {
-			pl = l
-		}
-	}
-	return pl
-}
-
-func (s *SMHC) leadLevels(rank int) []int {
-	var out []int
-	for l := 0; l < s.h.NLevels(); l++ {
-		if s.h.IsLeader(l, rank) {
-			out = append(out, l)
-		} else {
-			break
-		}
-	}
-	return out
 }
 
 // Bcast: chunks flow root -> leaders -> members entirely through shared
@@ -165,8 +143,8 @@ func (s *SMHC) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 		return
 	}
 
-	lead := s.leadLevels(p.Rank)
-	pl := s.pullLevel(p.Rank)
+	plan := &s.plans[p.Rank]
+	lead, pl := plan.Lead, plan.PullLevel()
 	chunk := s.cfg.ChunkBytes
 	half := s.cfg.SegBytes / 2
 	if chunk > half {
@@ -176,19 +154,16 @@ func (s *SMHC) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 
 	// Pre-hop: an out-of-tree root feeds rank 0 (the fixed tree source).
 	if root != 0 {
-		g0, gi0 := s.groupOf(0, 0)
-		_ = g0
-		rootG, rootGi := s.groupOf(0, root)
-		_ = rootG
-		feedReady := s.redReady[0][rootGi][root] // owner: root
-		feedDone := s.redDone[0][gi0][0]         // owner: rank 0
+		g0, _ := s.h.GroupOf(0, 0)
+		rootG, _ := s.h.GroupOf(0, root)
+		feedReady := s.redReady[0][rootG.Index][root] // owner: root
+		feedDone := s.redDone[0][g0.Index][0]         // owner: rank 0
 		base := v.redCum[0]
 		if p.Rank == root {
 			// The root already holds the data: it does not pull through the
 			// tree, but must satisfy its leader's recycling acks upfront.
-			if pl >= 0 {
-				_, gi := s.groupOf(pl, p.Rank)
-				s.acks[pl][gi][p.Rank].Set(p.S, p.Core, v.cumBytes[0]+uint64(n))
+			if plan.HasPull {
+				s.acks[pl][plan.Pull.G.Index][p.Rank].Set(p.S, p.Core, v.cumBytes[0]+uint64(n))
 			}
 			for copied := 0; copied < n; {
 				sz := min(chunk, n-copied)
@@ -202,10 +177,7 @@ func (s *SMHC) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 				// The members of the root's own groups never hear from the
 				// rank-0 tree (their leader is the root itself): announce
 				// the staged bytes to them directly.
-				for _, l := range lead {
-					_, lgi := s.groupOf(l, p.Rank)
-					s.ready[l][lgi].Set(p.S, p.Core, v.cumBytes[l]+uint64(copied))
-				}
+				s.announce(p, v, lead, copied)
 				// Chunk-synchronous: wait for rank 0 to drain before the
 				// slot could be reused.
 				if copied < n {
@@ -237,15 +209,12 @@ func (s *SMHC) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 			s.waitSlotFree(p, v, copied, chunk)
 			p.Copy(s.segs[p.Rank], slotOf(copied), buf, off+copied, sz)
 			copied += sz
-			for _, l := range lead {
-				_, gi := s.groupOf(l, p.Rank)
-				s.ready[l][gi].Set(p.S, p.Core, v.cumBytes[l]+uint64(copied))
-			}
+			s.announce(p, v, lead, copied)
 		}
 	case p.Rank != 0 && p.Rank != root:
 		// Member/leader: pull from the leader's segment.
-		g, gi := s.groupOf(pl, p.Rank)
-		parentSeg := s.segs[g.Leader]
+		gi := plan.Pull.G.Index
+		parentSeg := s.segs[plan.Pull.Leader]
 		parentReady := s.ready[pl][gi]
 		base := v.cumBytes[pl]
 		for copied := 0; copied < n; {
@@ -257,10 +226,7 @@ func (s *SMHC) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 				p.Copy(s.segs[p.Rank], slotOf(copied), parentSeg, slotOf(copied), sz)
 			}
 			copied += sz
-			for _, l := range lead {
-				_, lgi := s.groupOf(l, p.Rank)
-				s.ready[l][lgi].Set(p.S, p.Core, v.cumBytes[l]+uint64(copied))
-			}
+			s.announce(p, v, lead, copied)
 			// Consumption ack for the leader's slot recycling.
 			s.acks[pl][gi][p.Rank].Set(p.S, p.Core, v.cumBytes[0]+uint64(copied))
 		}
@@ -272,7 +238,7 @@ func (s *SMHC) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
 
 // stageAndAnnounce copies the freshly received chunk ending at `copied`
 // into this rank's segment and bumps its groups' counters.
-func (s *SMHC) stageAndAnnounce(p *env.Proc, v *smhcView, buf *mem.Buffer, off, copied, sz int, lead []int) {
+func (s *SMHC) stageAndAnnounce(p *env.Proc, v *smhcView, buf *mem.Buffer, off, copied, sz int, lead []proto.Role[*hier.Group]) {
 	chunk := s.cfg.ChunkBytes
 	half := s.cfg.SegBytes / 2
 	if chunk > half {
@@ -281,10 +247,7 @@ func (s *SMHC) stageAndAnnounce(p *env.Proc, v *smhcView, buf *mem.Buffer, off, 
 	start := copied - sz
 	s.waitSlotFree(p, v, start, chunk)
 	p.Copy(s.segs[p.Rank], start/chunk%2*half, buf, off+start, sz)
-	for _, l := range lead {
-		_, gi := s.groupOf(l, p.Rank)
-		s.ready[l][gi].Set(p.S, p.Core, v.cumBytes[l]+uint64(copied))
-	}
+	s.announce(p, v, lead, copied)
 }
 
 // advance moves every per-level mirror past an op of n bytes.
@@ -304,16 +267,7 @@ func (s *SMHC) waitSlotFree(p *env.Proc, v *smhcView, start, chunk int) {
 		return
 	}
 	need := v.cumBytes[0] + uint64(reuseEnd)
-	for _, l := range s.leadLevels(p.Rank) {
-		_, gi := s.groupOf(l, p.Rank)
-		var flags []*shm.Flag
-		for _, m := range s.h.GroupsAt(l)[gi].Members {
-			if m != p.Rank {
-				flags = append(flags, s.acks[l][gi][m])
-			}
-		}
-		shm.WaitAllGE(p.S, p.Core, flags, need)
-	}
+	s.waitAcks(p, need)
 }
 
 // ackPhase: op-completion handshake (members signal, leaders collect), on
@@ -323,19 +277,23 @@ func (s *SMHC) ackPhase(p *env.Proc, v *smhcView, n int) {
 	// consumers have already arrived there byte by byte, other ops jump
 	// straight to it.
 	target := v.cumBytes[0] + uint64(n)
-	if pl := s.pullLevel(p.Rank); pl >= 0 {
-		_, gi := s.groupOf(pl, p.Rank)
-		s.acks[pl][gi][p.Rank].Set(p.S, p.Core, target)
+	if plan := &s.plans[p.Rank]; plan.HasPull {
+		s.acks[plan.Pull.Level][plan.Pull.G.Index][p.Rank].Set(p.S, p.Core, target)
 	}
-	for _, l := range s.leadLevels(p.Rank) {
-		_, gi := s.groupOf(l, p.Rank)
+	s.waitAcks(p, target)
+}
+
+// waitAcks blocks a leader until every member of each group it leads has
+// acked need.
+func (s *SMHC) waitAcks(p *env.Proc, need uint64) {
+	for _, r := range s.plans[p.Rank].Lead {
 		var flags []*shm.Flag
-		for _, m := range s.h.GroupsAt(l)[gi].Members {
+		for _, m := range r.G.Members {
 			if m != p.Rank {
-				flags = append(flags, s.acks[l][gi][m])
+				flags = append(flags, s.acks[r.Level][r.G.Index][m])
 			}
 		}
-		shm.WaitAllGE(p.S, p.Core, flags, target)
+		shm.WaitAllGE(p.S, p.Core, flags, need)
 	}
 }
 
@@ -360,30 +318,29 @@ func (s *SMHC) Allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 
 func (s *SMHC) allreducePiece(p *env.Proc, v *smhcView, sbuf, rbuf *mem.Buffer, off, n int, dt mpi.Datatype, op mpi.Op) {
 	v.opSeq++
-	lead := s.leadLevels(p.Rank)
-	pl := s.pullLevel(p.Rank)
+	plan := &s.plans[p.Rank]
+	lead, pl := plan.Lead, plan.PullLevel()
 	slot := int(v.opSeq%2) * (s.cfg.SegBytes / 2)
 
 	// Copy-in own contribution.
 	p.Copy(s.segs[p.Rank], slot, sbuf, off, n)
-	g0, gi0 := s.groupOf(0, p.Rank)
-	_ = g0
-	s.redReady[0][gi0][p.Rank].Set(p.S, p.Core, v.redCum[0]+uint64(n))
+	g0, _ := s.h.GroupOf(0, p.Rank)
+	s.redReady[0][g0.Index][p.Rank].Set(p.S, p.Core, v.redCum[0]+uint64(n))
 
 	// Bottom-up reduction, one reducer per group (first non-leader).
-	for _, l := range lead {
-		g, gi := s.groupOf(l, p.Rank)
+	for _, r := range lead {
+		l, g, gi := r.Level, r.G, r.G.Index
 		red := firstNonLeader(g)
 		if red >= 0 {
 			s.redDone[l][gi][red].WaitGE(p.S, p.Core, v.redCum[l]+uint64(n))
 		}
 		if l+1 < s.h.NLevels() {
-			_, ugi := s.groupOf(l+1, p.Rank)
-			s.redReady[l+1][ugi][p.Rank].Set(p.S, p.Core, v.redCum[l+1]+uint64(n))
+			up, _ := s.h.GroupOf(l+1, p.Rank)
+			s.redReady[l+1][up.Index][p.Rank].Set(p.S, p.Core, v.redCum[l+1]+uint64(n))
 		}
 	}
 	if pl >= 0 {
-		g, gi := s.groupOf(pl, p.Rank)
+		g, gi := plan.Pull.G, plan.Pull.G.Index
 		if firstNonLeader(g) == p.Rank {
 			for _, m := range g.Members {
 				s.redReady[pl][gi][m].WaitGE(p.S, p.Core, v.redCum[pl]+uint64(n))
@@ -406,20 +363,14 @@ func (s *SMHC) allreducePiece(p *env.Proc, v *smhcView, sbuf, rbuf *mem.Buffer, 
 	// Fan the result back out through the segments.
 	if p.Rank == s.h.TopLeader() {
 		p.Copy(rbuf, off, s.segs[p.Rank], slot, n)
-		for _, l := range lead {
-			_, gi := s.groupOf(l, p.Rank)
-			s.ready[l][gi].Set(p.S, p.Core, v.cumBytes[l]+uint64(n))
-		}
+		s.announce(p, v, lead, n)
 	} else {
-		g, gi := s.groupOf(pl, p.Rank)
-		s.ready[pl][gi].WaitGE(p.S, p.Core, v.cumBytes[pl]+uint64(n))
+		g := plan.Pull.G
+		s.ready[pl][g.Index].WaitGE(p.S, p.Core, v.cumBytes[pl]+uint64(n))
 		p.Copy(rbuf, off, s.segs[g.Leader], slot, n)
 		if len(lead) > 0 {
 			p.Copy(s.segs[p.Rank], slot, s.segs[g.Leader], slot, n)
-			for _, l := range lead {
-				_, lgi := s.groupOf(l, p.Rank)
-				s.ready[l][lgi].Set(p.S, p.Core, v.cumBytes[l]+uint64(n))
-			}
+			s.announce(p, v, lead, n)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/sim"
 	"xhc/internal/xpmem"
@@ -55,7 +56,7 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 	}
 	pc := c.newPhaseClock(p, opCode, view.opSeq, int64(n), st.h.NLevels())
 	if n == 0 {
-		c.ackPhase(p, st, view, pc)
+		c.ack(p, st, view, pc)
 		pc.finish()
 		return
 	}
@@ -90,7 +91,7 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 			view.bumpRedDone(l, m, uint64(sl[1]-sl[0]))
 		}
 	}
-	c.ackPhase(p, st, view, pc)
+	c.ack(p, st, view, pc)
 	if !bcast {
 		// A rooted reduce skips the broadcast phase, so nothing else orders a
 		// member's return after the sibling reducers that read its exposed
@@ -98,8 +99,8 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 		// pull group has acked — only then may the caller reuse those
 		// buffers. The group leader is excluded: it never acks into its own
 		// led group (and only reads contributions before acking anyway).
-		if pl := st.pullLevel(p.Rank); pl >= 0 {
-			gs, _ := st.groupOf(pl, p.Rank)
+		if plan := &st.plans[p.Rank]; plan.HasPull {
+			gs := plan.Pull.G
 			var flags []*shm.Flag
 			for _, m := range gs.g.Members {
 				if m != p.Rank && m != gs.leader {
@@ -187,14 +188,14 @@ func (c *Comm) pollInterval(n int) sim.Duration {
 
 // xpmemAllreduce is the single-copy path.
 func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *phaseClock) {
-	lead := st.leadLevels(p.Rank)
-	pl := st.pullLevel(p.Rank)
+	plan := &st.plans[p.Rank]
+	pl := plan.PullLevel()
 	es := dt.Size()
 
 	// --- Step 1: preparation / exposure ---
 	// Contribution at the pull level: sbuf for leaf members, acc above.
 	if pl >= 0 {
-		gs, _ := st.groupOf(pl, p.Rank)
+		gs := plan.Pull.G
 		contrib, ready := sbuf, uint64(n)
 		if pl > 0 {
 			contrib, ready = acc, 0 // published progressively by monitoring
@@ -208,8 +209,8 @@ func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, 
 	}
 	// Leaders expose their accumulator per led group; leaf-level leaders
 	// additionally expose sbuf as their own contribution.
-	for _, l := range lead {
-		gs, _ := st.groupOf(l, p.Rank)
+	for _, lr := range plan.Lead {
+		gs, l := lr.G, lr.Level
 		gs.accExposed = xpmem.Expose(acc)
 		gs.accExposedOff = 0
 		gs.accExpSeq.Set(p.S, p.Core, view.opSeq)
@@ -226,15 +227,15 @@ func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, 
 	}
 	pc.mark(-1, obs.PhaseExpose, 0)
 
-	if len(lead) == 0 {
-		// Pure member: blocking reduction work, then blocking broadcast.
+	if len(plan.Lead) == 0 {
+		// Pure member: blocking reduction work, then the broadcast pull.
 		c.memberReduceSlice(p, st, view, pl, n, es, dt, op, pc)
 		if bcast {
-			c.bcastPull(p, st, view, rbuf, n, nil, pc)
+			proto.Pull(c.mem(p, pc), plan, view.opSeq, view.cumBytes, rbuf, 0, n)
 		}
 		return
 	}
-	c.leaderProgressLoop(p, st, view, sbuf, acc, rbuf, n, es, dt, op, bcast, root, lead, pl, pc)
+	c.leaderProgressLoop(p, st, view, sbuf, acc, rbuf, n, es, dt, op, bcast, root, plan, pl, pc)
 }
 
 // memberReduceSlice performs this rank's share of the intra-group
@@ -314,48 +315,13 @@ func (c *Comm) reduceChunk(p *env.Proc, gs *groupState, acc *mem.Buffer, accOff 
 	p.Dirty(acc)
 }
 
-// bcastPull is the broadcast-phase receive of a pure member: wait for the
-// parent's counter, copy available chunks into rbuf.
-func (c *Comm) bcastPull(p *env.Proc, st *commState, view *rankView, rbuf *mem.Buffer, n int, after func(copied int), pc *phaseClock) {
-	pl := st.pullLevel(p.Rank)
-	gs, _ := st.groupOf(pl, p.Rank)
-	gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-	pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
-	src := c.caches[p.Rank].Attach(p.S, gs.exposed)
-	soff := gs.exposedOff
-	pc.mark(pl, obs.PhaseExpose, 0)
-	base := view.cumBytes[pl]
-	chunk := c.chunkAt(pl)
-	copied := 0
-	for copied < n {
-		want := min(chunk, n-copied)
-		avail := int(c.waitReady(p, gs, base+uint64(copied+want)) - base)
-		if avail > n {
-			avail = n
-		}
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
-		before := copied
-		for copied < avail {
-			take := min(chunk, avail-copied)
-			p.Copy(rbuf, copied, src, soff+copied, take)
-			copied += take
-			if after != nil {
-				after(copied)
-			}
-		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(copied-before))
-	}
-	c.caches[p.Rank].Release(p.S, gs.exposed)
-	pc.mark(pl, obs.PhaseExpose, 0)
-	c.recordPull(gs.leader, p.Rank, n)
-}
-
 // leaderProgressLoop interleaves every role a leader has during an
 // allreduce — monitoring its groups' reduce_done counters and publishing
 // its own reduce_ready upward (step 2b), its own reduction slice at its
 // pull level, triggering/forwarding the broadcast (step 3) — in a polling
 // loop, the way the paper describes leaders operating.
-func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n, es int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, lead []int, pl int, pc *phaseClock) {
+func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n, es int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, plan *proto.Plan[*groupState], pl int, pc *phaseClock) {
+	lead := plan.Lead
 	type monitorState struct {
 		gs        *groupState
 		part      map[int][2]int
@@ -367,8 +333,8 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 		seeded    bool
 	}
 	monitors := make([]*monitorState, 0, len(lead))
-	for _, l := range lead {
-		gs, _ := st.groupOf(l, p.Rank)
+	for _, lr := range lead {
+		gs := lr.G
 		ms := &monitorState{gs: gs, part: c.reducePartition(gs, n, es, c.Cfg.ReduceMinChunk), sliceDone: map[int]uint64{}}
 		for _, m := range gs.g.Members {
 			if m != gs.leader {
@@ -408,29 +374,15 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 	// parent and propagate availability to their groups, exactly as in
 	// Bcast; the root publishes directly from its top-group monitor).
 	isRoot := p.Rank == root
-	bcastExposed := false
 	var bcSrc *mem.Buffer
 	bcSoff := 0
 	bcCopied := 0
 	bcAttached := false
-
-	exposeForBcast := func() {
-		for _, l := range lead {
-			gs, _ := st.groupOf(l, p.Rank)
-			gs.exposed = xpmem.Expose(rbuf)
-			gs.exposedOff = 0
-			gs.expSeq.Set(p.S, p.Core, view.opSeq)
-		}
-		bcastExposed = true
-	}
+	m := c.mem(p, pc)
 	if bcast {
-		exposeForBcast()
-	}
-
-	publishBcast := func(avail int) {
-		for _, l := range lead {
-			gs, _ := st.groupOf(l, p.Rank)
-			c.setReady(p, gs, view.cumBytes[l]+uint64(avail))
+		for i := range lead {
+			m.Expose(&lead[i], rbuf, 0, 0)
+			m.Set(&lead[i], proto.Exp, view.opSeq)
 		}
 	}
 
@@ -446,7 +398,7 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 		// Role: monitor led groups, publish reduce_ready upward (or the
 		// broadcast counters when this rank is the internal root).
 		for li, ms := range monitors {
-			l := lead[li]
+			l := lead[li].Level
 			if ms.prefix >= n {
 				continue
 			}
@@ -513,7 +465,7 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 				// trigger (step 3).
 				if l+1 >= st.h.NLevels() {
 					if bcast {
-						publishBcast(ms.published)
+						proto.Announce(m, plan, view.cumBytes, uint64(ms.published))
 					}
 				} else {
 					up, _ := st.groupOf(l+1, p.Rank)
@@ -603,7 +555,7 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 						p.Copy(rbuf, bcCopied, bcSrc, bcSoff+bcCopied, take)
 						bcCopied += take
 						copiedIter += take
-						publishBcast(bcCopied)
+						proto.Announce(m, plan, view.cumBytes, uint64(bcCopied))
 					}
 					progressed = true
 					if bcCopied >= n {
@@ -640,7 +592,6 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 			pc.mark(-1, obs.PhaseFlagWait, 0)
 		}
 	}
-	_ = bcastExposed
 }
 
 // readyValue reads the group's availability counter under any flag scheme
@@ -655,8 +606,8 @@ func (gs *groupState) readyValue(p *env.Proc) uint64 {
 // cicoAllreduce is the small-message path: contributions staged in the
 // per-rank CICO buffers, one reducer per group, CICO broadcast back.
 func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *phaseClock) {
-	lead := st.leadLevels(p.Rank)
-	pl := st.pullLevel(p.Rank)
+	plan := &st.plans[p.Rank]
+	pl := plan.PullLevel()
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2)
 	_ = acc // CICO accumulates in the leaders' shared buffers
 
@@ -669,8 +620,8 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 	// Bottom-up: monitor led groups (wait for every active reducer's
 	// slice), then publish upward; do own reduction duty at the pull level.
 	es := dt.Size()
-	for _, l := range lead {
-		gs, _ := st.groupOf(l, p.Rank)
+	for _, lr := range plan.Lead {
+		gs, l := lr.G, lr.Level
 		part := c.reducePartition(gs, n, es, c.Cfg.CICOMinReduce)
 		var doneFlags []*shm.Flag
 		var doneTargets []uint64
@@ -695,7 +646,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 	}
 
 	if pl >= 0 {
-		gs, _ := st.groupOf(pl, p.Rank)
+		gs := plan.Pull.G
 		part := c.reducePartition(gs, n, es, c.Cfg.CICOMinReduce)
 		if sl, ok := part[p.Rank]; ok && sl[1] > sl[0] {
 			s0, e0 := sl[0], sl[1]
@@ -743,24 +694,17 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 	// Broadcast the final result back down through the CICO buffers.
 	if p.Rank == root {
 		p.Copy(rbuf, 0, c.cico[p.Rank], slot, n)
-		for _, l := range lead {
-			gs, _ := st.groupOf(l, p.Rank)
-			c.setReady(p, gs, view.cumBytes[l]+uint64(n))
-		}
+		proto.Announce(c.mem(p, pc), plan, view.cumBytes, uint64(n))
 		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else {
-		gs, _ := st.groupOf(pl, p.Rank)
-		base := view.cumBytes[pl]
-		c.waitReady(p, gs, base+uint64(n))
+		gs := plan.Pull.G
+		c.mem(p, pc).WaitGE(&plan.Pull, proto.Ready, view.cumBytes[pl]+uint64(n))
 		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
 		src := c.cico[gs.leader]
 		p.Copy(rbuf, 0, src, slot, n)
-		if len(lead) > 0 {
+		if len(plan.Lead) > 0 {
 			p.Copy(c.cico[p.Rank], slot, src, slot, n)
-			for _, l := range lead {
-				lgs, _ := st.groupOf(l, p.Rank)
-				c.setReady(p, lgs, view.cumBytes[l]+uint64(n))
-			}
+			proto.Announce(c.mem(p, pc), plan, view.cumBytes, uint64(n))
 		}
 		pc.mark(pl, obs.PhaseChunkCopy, int64(n))
 		c.recordPull(gs.leader, p.Rank, n)
@@ -785,52 +729,6 @@ func (c *Comm) barrier(p *env.Proc) {
 		c.Ops++
 	}
 	pc := c.newPhaseClock(p, obs.OpBarrier, view.opSeq, 0, st.h.NLevels())
-
-	// Gather: each rank signals arrival at its pull group; leaders wait
-	// for their members bottom-up before signalling their own arrival.
-	lead := st.leadLevels(p.Rank)
-	pl := st.pullLevel(p.Rank)
-	ch := c.chaos()
-	// Release down (the root starts the release, leaders forward it).
-	release := func() {
-		for i := len(lead) - 1; i >= 0; i-- {
-			gs, _ := st.groupOf(lead[i], p.Rank)
-			c.setReady(p, gs, view.cumBytes[lead[i]]+1)
-		}
-	}
-	if ch.EarlyReady {
-		// Mutation: release the subtree before its arrivals are in — ranks
-		// exit the barrier while stragglers have not yet entered it.
-		release()
-	}
-	for _, l := range lead {
-		gs, _ := st.groupOf(l, p.Rank)
-		var flags []*shm.Flag
-		for _, m := range gs.g.Members {
-			if m != p.Rank {
-				flags = append(flags, gs.acks[m])
-			}
-		}
-		shm.WaitAllGE(p.S, p.Core, flags, view.opSeq)
-	}
-	if pl >= 0 {
-		gs, _ := st.groupOf(pl, p.Rank)
-		if !(ch.SkipAck && len(lead) == 0) {
-			// Mutation (skipped arm): a pure member forgets its arrival
-			// signal; its leader waits forever in the gather above.
-			gs.acks[p.Rank].Set(p.S, p.Core, view.opSeq)
-		}
-		// Release: wait for the leader to advance the availability counter
-		// by the barrier's token byte.
-		c.waitReady(p, gs, view.cumBytes[pl]+1)
-	}
-	if !ch.EarlyReady {
-		release()
-	}
-	// A barrier consumes one token byte on every level's counter.
-	for l := range view.cumBytes {
-		view.cumBytes[l]++
-	}
-	pc.mark(-1, obs.PhaseFlagWait, 0)
+	proto.Barrier(c.mem(p, pc), &st.plans[p.Rank], view.opSeq, view.cumBytes)
 	pc.finish()
 }

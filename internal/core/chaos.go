@@ -47,10 +47,9 @@ type ChaosConfig struct {
 	// Caught by the per-request byte-exactness invariant.
 	EarlyComplete bool
 
-	// FuseCorrupt makes the fused-broadcast root swap the first two sub-op
-	// slots of the staging buffer after staging a batch, corrupting the
-	// fusion boundaries whenever a batch of at least two ops forms. Caught
-	// by byte-exactness.
+	// FuseCorrupt makes the fused-broadcast root shift each staged sub-op
+	// left by one byte (proto.Fused), at any batch size for payloads of at
+	// least two bytes. Caught by byte-exactness.
 	FuseCorrupt bool
 }
 

@@ -17,6 +17,7 @@ import (
 	"xhc/internal/hier"
 	"xhc/internal/mem"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/xpmem"
 )
@@ -143,6 +144,11 @@ type Comm struct {
 	scratch []*mem.Buffer              // per-rank internal accumulators for Reduce
 	agFlags map[*commState][]*shm.Flag // allgather push-completion flags
 
+	// mems[r] is rank r's handle for the shared broadcast protocol
+	// (package proto); mut is the protocol's view of Chaos.
+	mems []rankMem
+	mut  proto.Mutants
+
 	// Non-blocking request machinery (request.go): one lane per rank
 	// holding the queue its helper proc drains, a per-rank staging buffer
 	// for fused small-op batches, and the fusion size cap (CICOThreshold),
@@ -205,7 +211,17 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 	c.nb = make([]nbRank, w.N)
 	c.fuseBuf = make([]*mem.Buffer, w.N)
 	c.fuseMax = cfg.CICOThreshold
+	c.mems = make([]rankMem, w.N)
+	if ch := cfg.Chaos; ch != nil {
+		c.mut = proto.Mutants{
+			EarlyReady:    ch.EarlyReady,
+			SkipAck:       ch.SkipAck,
+			AckRegression: ch.AckRegression,
+			FuseCorrupt:   ch.FuseCorrupt,
+		}
+	}
 	for r := 0; r < w.N; r++ {
+		c.mems[r].c = c
 		c.caches[r] = xpmem.NewCache(w.Sys, 0, cfg.RegCache)
 		c.cico[r] = w.NewBufferAt(c.name("cico.%d", r), r, cfg.CICOBytes)
 	}
@@ -290,8 +306,9 @@ func (c *Comm) chunkAt(level int) int {
 type commState struct {
 	root   int
 	h      *hier.Hierarchy
-	groups [][]*groupState // [level][groupIndex]
-	views  []*rankView     // per-rank local mirrors of cumulative counters
+	groups [][]*groupState           // [level][groupIndex]
+	plans  []proto.Plan[*groupState] // per-rank lead/pull roles
+	views  []*rankView               // per-rank local mirrors of cumulative counters
 }
 
 // groupState is the shared-memory control block of one hierarchy group.
@@ -316,8 +333,11 @@ type groupState struct {
 	// fused protocol freezes it); plain because the simulation is
 	// cooperative. See request.go.
 	fuseFirst uint64
-	// acks[m] is member m's cumulative completed-op counter.
-	acks map[int]*shm.Flag
+	// acks[m] is member m's cumulative completed-op counter; ackWait
+	// lists the non-leader members' ack flags in member order (what the
+	// leader collects at the end of every op).
+	acks    map[int]*shm.Flag
+	ackWait []*shm.Flag
 
 	// Allreduce state:
 	// redReady[m] is member m's cumulative counter of contribution bytes
@@ -446,6 +466,9 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 				} else {
 					gs.acks[m] = shm.NewFlag(c.W.Sys, ackName, mc)
 				}
+				if m != g.Leader {
+					gs.ackWait = append(gs.ackWait, gs.acks[m])
+				}
 				gs.redReady[m] = shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rr.%d", root, l, gi, m), mc)
 				gs.redDone[m] = shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rd.%d", root, l, gi, m), mc)
 				gs.redExpSeq[m] = shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rexp.%d", root, l, gi, m), mc)
@@ -454,6 +477,7 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 		}
 		st.groups = append(st.groups, lvl)
 	}
+	st.plans = proto.Build(h, func(l, gi int) *groupState { return st.groups[l][gi] })
 	st.views = make([]*rankView, c.W.N)
 	for r := range st.views {
 		st.views[r] = &rankView{
@@ -474,60 +498,6 @@ func (st *commState) groupOf(level, rank int) (*groupState, bool) {
 		return nil, false
 	}
 	return st.groups[level][g.Index], true
-}
-
-// pullLevel returns the highest level at which rank participates as a
-// non-leader (the level it pulls data at during a broadcast), or -1 for
-// the root.
-func (st *commState) pullLevel(rank int) int {
-	pl := -1
-	for l := 0; l < st.h.NLevels(); l++ {
-		if _, ok := st.h.GroupOf(l, rank); !ok {
-			break
-		}
-		if !st.h.IsLeader(l, rank) {
-			pl = l
-		}
-	}
-	return pl
-}
-
-// leadLevels returns the levels at which rank leads its group (always a
-// prefix of its participation levels).
-func (st *commState) leadLevels(rank int) []int {
-	var out []int
-	for l := 0; l < st.h.NLevels(); l++ {
-		if st.h.IsLeader(l, rank) {
-			out = append(out, l)
-		} else {
-			break
-		}
-	}
-	return out
-}
-
-// setReady publishes the cumulative available-byte counter v to the
-// members of gs, according to the configured flag scheme.
-func (c *Comm) setReady(p *env.Proc, gs *groupState, v uint64) {
-	if gs.ready != nil {
-		gs.ready.Set(p.S, p.Core, v)
-		return
-	}
-	// Member order (not map order) keeps the event sequence deterministic.
-	for _, m := range gs.g.Members {
-		if f, ok := gs.memberReady[m]; ok {
-			f.Set(p.S, p.Core, v)
-		}
-	}
-}
-
-// waitReady blocks rank until the group's available-byte counter reaches
-// v, returning the observed value.
-func (c *Comm) waitReady(p *env.Proc, gs *groupState, v uint64) uint64 {
-	if gs.ready != nil {
-		return gs.ready.WaitGE(p.S, p.Core, v)
-	}
-	return gs.memberReady[p.Rank].WaitGE(p.S, p.Core, v)
 }
 
 // sizeCheck validates a collective's buffer arguments.

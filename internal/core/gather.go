@@ -4,6 +4,7 @@ import (
 	"xhc/internal/env"
 	"xhc/internal/mem"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/shm"
 	"xhc/internal/xpmem"
 )
@@ -37,13 +38,13 @@ func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, 
 	}
 	pc := c.newPhaseClock(p, obs.OpScatter, view.opSeq, int64(blockLen), st.h.NLevels())
 	if blockLen == 0 {
-		c.ackPhase(p, st, view, pc)
+		c.ack(p, st, view, pc)
 		pc.finish()
 		return
 	}
 	if blockLen <= c.Cfg.CICOThreshold && blockLen*c.W.N <= c.Cfg.CICOBytes/2 {
 		c.cicoScatter(p, st, view, buf, out, blockLen, root, pc)
-		c.ackPhase(p, st, view, pc)
+		c.ack(p, st, view, pc)
 		pc.finish()
 		return
 	}
@@ -68,7 +69,7 @@ func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, 
 		pc.mark(-1, obs.PhaseExpose, 0)
 		c.recordPull(root, p.Rank, blockLen)
 	}
-	c.ackPhase(p, st, view, pc)
+	c.ack(p, st, view, pc)
 	pc.finish()
 }
 
@@ -123,7 +124,7 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 	}
 	pc := c.newPhaseClock(p, obs.OpGather, view.opSeq, int64(blockLen), st.h.NLevels())
 	if blockLen == 0 {
-		c.ackPhase(p, st, view, pc)
+		c.ack(p, st, view, pc)
 		pc.finish()
 		return
 	}
@@ -150,7 +151,7 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 	}
 	// The ack phase doubles as the completion notification: the root's
 	// return is gated on every rank having pushed its block.
-	c.ackPhase(p, st, view, pc)
+	c.ack(p, st, view, pc)
 	pc.finish()
 }
 
@@ -172,7 +173,7 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 		view := st.views[p.Rank]
 		view.opSeq++
 		pc := c.newPhaseClock(p, obs.OpAllgather, view.opSeq, 0, st.h.NLevels())
-		c.ackPhase(p, st, view, pc)
+		c.ack(p, st, view, pc)
 		pc.finish()
 		return
 	}
@@ -189,7 +190,7 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 
 	if blockLen <= c.Cfg.CICOThreshold && blockLen <= c.Cfg.CICOBytes/2 {
 		c.cicoAllgather(p, st, view, in, out, blockLen, pc)
-		c.ackPhase(p, st, view, pc)
+		c.ack(p, st, view, pc)
 		pc.finish()
 		return
 	}
@@ -225,13 +226,11 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 		pc.mark(-1, obs.PhaseExpose, 0)
 	}
 
-	// Phase 2: hierarchical pipelined broadcast of the assembled vector.
-	// Reuse the bcast machinery (root = 0 has the data in `out`).
-	c.bcastBody(p, st, view, out, 0, n, 0, pc)
-	for l := range view.cumBytes {
-		view.cumBytes[l] += uint64(n)
-	}
-	c.ackPhase(p, st, view, pc)
+	// Phase 2: hierarchical pipelined broadcast of the assembled vector
+	// from the internal root (rank 0 has the data in `out`).
+	proto.Pipeline(c.mem(p, pc), &st.plans[p.Rank], view.opSeq, view.cumBytes, out, 0, n)
+	proto.Advance(view.cumBytes, uint64(n))
+	c.ack(p, st, view, pc)
 	pc.finish()
 }
 
@@ -279,58 +278,4 @@ func (c *Comm) agDone(st *commState, rank int) *shm.Flag {
 		c.agFlags[st] = fl
 	}
 	return fl[rank]
-}
-
-// bcastBody runs the data-movement part of the hierarchical broadcast for
-// an operation whose bookkeeping (opSeq, cum advance, acks) the caller
-// manages. Used by Allgather's distribution phase.
-func (c *Comm) bcastBody(p *env.Proc, st *commState, view *rankView, buf *mem.Buffer, off, n, root int, pc *phaseClock) {
-	lead := st.leadLevels(p.Rank)
-	pl := st.pullLevel(p.Rank)
-	for _, l := range lead {
-		gs, _ := st.groupOf(l, p.Rank)
-		gs.exposed = xpmem.Expose(buf)
-		gs.exposedOff = off
-		gs.expSeq.Set(p.S, p.Core, view.opSeq)
-	}
-	pc.mark(-1, obs.PhaseExpose, 0)
-	if p.Rank == root {
-		for _, l := range lead {
-			gs, _ := st.groupOf(l, p.Rank)
-			c.setReady(p, gs, view.cumBytes[l]+uint64(n))
-		}
-		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
-		return
-	}
-	gs, _ := st.groupOf(pl, p.Rank)
-	gs.expSeq.WaitGE(p.S, p.Core, view.opSeq)
-	pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
-	src := c.caches[p.Rank].Attach(p.S, gs.exposed)
-	soff := gs.exposedOff
-	pc.mark(pl, obs.PhaseExpose, 0)
-	base := view.cumBytes[pl]
-	chunk := c.chunkAt(pl)
-	copied := 0
-	for copied < n {
-		want := min(chunk, n-copied)
-		avail := int(c.waitReady(p, gs, base+uint64(copied+want)) - base)
-		if avail > n {
-			avail = n
-		}
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
-		before := copied
-		for copied < avail {
-			take := min(chunk, avail-copied)
-			p.Copy(buf, off+copied, src, soff+copied, take)
-			copied += take
-			for _, l := range lead {
-				lgs, _ := st.groupOf(l, p.Rank)
-				c.setReady(p, lgs, view.cumBytes[l]+uint64(copied))
-			}
-		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(copied-before))
-	}
-	c.caches[p.Rank].Release(p.S, gs.exposed)
-	pc.mark(pl, obs.PhaseExpose, 0)
-	c.recordPull(gs.leader, p.Rank, n)
 }

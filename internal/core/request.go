@@ -7,9 +7,8 @@ import (
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
 	"xhc/internal/obs"
-	"xhc/internal/shm"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
-	"xhc/internal/xpmem"
 )
 
 // Non-blocking collectives over the simulated backend. Each rank owns a
@@ -23,7 +22,7 @@ import (
 // Same-shape small broadcasts (n <= CICOThreshold, same root) queued
 // back-to-back are fused: the helper pops a whole prefix and runs one
 // hierarchy traversal that carries every sub-op in a per-rank staging
-// buffer (fusedBcast below). Fusability is decided per request from
+// buffer (proto.Fused). Fusability is decided per request from
 // rank-uniform facts only (kind, size, root, the comm's threshold), so all
 // ranks agree on each op's protocol even when their batch boundaries end
 // up ragged.
@@ -95,6 +94,8 @@ type nbRank struct {
 	pending int  // issued but not completed
 	seq     uint64
 	free    *Request
+	// subs holds the sub-op buffers of the batch being fused.
+	subs [maxFuseBatch]proto.Sub[*mem.Buffer]
 }
 
 // nbGated reports whether rank currently has outstanding requests, in
@@ -293,7 +294,7 @@ func (c *Comm) nbHelper(p *env.Proc) {
 			k++
 			lane.head++
 		}
-		c.fusedBcast(p, batch[:k])
+		c.execFused(p, batch[:k])
 		for i := range batch[:k] {
 			batch[i] = nil
 		}
@@ -367,38 +368,10 @@ func (c *Comm) completeReq(r *Request) {
 	c.inflightCur--
 }
 
-// fuseStaging returns (lazily allocating) rank's fused-batch staging
-// buffer. Only forwarding ranks of fused batches allocate one, so worlds
-// that never fuse keep their memory footprint unchanged.
-func (c *Comm) fuseStaging(rank int) *mem.Buffer {
-	if c.fuseBuf[rank] == nil {
-		c.fuseBuf[rank] = c.W.NewBufferAt(c.name("fuse.%d", rank), rank, maxFuseBatch*c.fuseMax)
-	}
-	return c.fuseBuf[rank]
-}
-
-// fusedBcast runs one hierarchy traversal carrying a batch of same-shape
-// small broadcasts (all n bytes from the same root, k <= maxFuseBatch).
-//
-// The root stages the k payloads contiguously in its staging buffer,
-// exposes it with fuseFirst = the batch's first op sequence, and announces
-// the whole batch at once (ready advances by k*n, expSeq jumps to the
-// batch-last sequence). Members serve sub-ops in rounds: wait until the
-// parent's expSeq covers the next unserved op, re-read fuseFirst (the
-// parent's own batching may be ragged against ours — it may have restaged
-// between our rounds), copy each covered sub-op out at (q-fuseFirst)*n,
-// restage and republish for their own groups, and ack incrementally.
-// Incremental acks are what keep ragged batches deadlock-free: a parent
-// whose batch ends mid-way through ours can retire it (its freeze guard
-// waits on acks up to *its* last) and publish the rest. The trailing
-// freeze guard — every forwarding rank waits for its members' acks to
-// reach batch-last — pins the staging buffer and fuseFirst until no
-// reader is left, which is what makes re-reading fuseFirst sound.
-//
-// All cumulative counters advance exactly as k blocking broadcasts would
-// have advanced them, so fused and unfused ops interleave freely on one
-// communicator.
-func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
+// execFused runs a popped batch of same-shape small broadcasts as one
+// fused hierarchy traversal (proto.Fused), with this backend's op
+// accounting around it.
+func (c *Comm) execFused(p *env.Proc, batch []*Request) {
 	if c.chaos().EarlyComplete {
 		// Mutation: complete the whole batch without moving a byte (and
 		// without touching any counter — uniform across ranks, so nothing
@@ -410,113 +383,25 @@ func (c *Comm) fusedBcast(p *env.Proc, batch []*Request) {
 	}
 	k := len(batch)
 	n := batch[0].n
-	root := batch[0].root
-	st := c.stateFor(root)
+	st := c.stateFor(batch[0].root)
 	view := st.views[p.Rank]
 	first := view.opSeq + 1
 	view.opSeq += uint64(k)
-	last := view.opSeq
 	if p.Rank == 0 {
 		c.Ops += int64(k)
 		if c.rec != nil {
 			c.rec.CountFusedBatch(k, int64(k)*int64(n))
 		}
 	}
-	kn := uint64(k) * uint64(n)
-	pc := c.newPhaseClock(p, obs.OpBcast, last, int64(kn), st.h.NLevels())
-	lead := st.leadLevels(p.Rank)
-	pl := st.pullLevel(p.Rank)
-
-	var stg *mem.Buffer
-	if len(lead) > 0 {
-		stg = c.fuseStaging(p.Rank)
+	pc := c.newPhaseClock(p, obs.OpBcast, view.opSeq, int64(k)*int64(n), st.h.NLevels())
+	subs := c.nb[p.Rank].subs[:k]
+	for i, r := range batch {
+		subs[i] = proto.Sub[*mem.Buffer]{Buf: r.buf, Off: r.off}
 	}
-
-	if p.Rank == root {
-		if stg != nil {
-			for i, r := range batch {
-				p.Copy(stg, i*n, r.buf, r.off, n)
-			}
-			if c.chaos().FuseCorrupt && k >= 2 {
-				// Mutation: swap the first two staged sub-ops — the batch
-				// boundary corruption fusion must rule out.
-				tmp := make([]byte, n)
-				copy(tmp, stg.Data[:n])
-				copy(stg.Data[:n], stg.Data[n:2*n])
-				copy(stg.Data[n:2*n], tmp)
-				p.Dirty(stg)
-			}
-			pc.mark(-1, obs.PhaseChunkCopy, int64(kn))
-			for _, l := range lead {
-				gs, _ := st.groupOf(l, p.Rank)
-				gs.exposed = xpmem.Expose(stg)
-				gs.exposedOff = 0
-				gs.fuseFirst = first
-				c.setReady(p, gs, view.cumBytes[l]+kn)
-				gs.expSeq.Set(p.S, p.Core, last)
-			}
-			pc.mark(-1, obs.PhaseExpose, 0)
-		}
-	} else {
-		gs, _ := st.groupOf(pl, p.Rank)
-		served := 0
-		for served < k {
-			e := gs.expSeq.WaitGE(p.S, p.Core, first+uint64(served))
-			pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
-			f := gs.fuseFirst
-			src := c.caches[p.Rank].Attach(p.S, gs.exposed)
-			soff := gs.exposedOff
-			upTo := e
-			if upTo > last {
-				upTo = last
-			}
-			for q := first + uint64(served); q <= upTo; q++ {
-				r := batch[q-first]
-				p.Copy(r.buf, r.off, src, soff+int(q-f)*n, n)
-				if stg != nil {
-					p.Copy(stg, int(q-first)*n, r.buf, r.off, n)
-				}
-			}
-			round := int(upTo-first) + 1 - served
-			pc.mark(pl, obs.PhaseChunkCopy, int64(round*n))
-			c.caches[p.Rank].Release(p.S, gs.exposed)
-			if stg != nil {
-				done := uint64(int(upTo-first)+1) * uint64(n)
-				for _, l := range lead {
-					lgs, _ := st.groupOf(l, p.Rank)
-					lgs.exposed = xpmem.Expose(stg)
-					lgs.exposedOff = 0
-					lgs.fuseFirst = first
-					c.setReady(p, lgs, view.cumBytes[l]+done)
-					lgs.expSeq.Set(p.S, p.Core, upTo)
-				}
-				pc.mark(pl, obs.PhaseExpose, 0)
-			}
-			gs.acks[p.Rank].Set(p.S, p.Core, upTo)
-			served = int(upTo-first) + 1
-		}
-		c.recordPull(gs.leader, p.Rank, k*n)
-	}
-
-	// Freeze guard: a forwarding rank (and the root) may not return — and
-	// so may not restage for a later batch or run a later op — until every
-	// member has drained this batch.
-	for _, l := range lead {
-		gs, _ := st.groupOf(l, p.Rank)
-		var flags []*shm.Flag
-		for _, m := range gs.g.Members {
-			if m != p.Rank {
-				flags = append(flags, gs.acks[m])
-			}
-		}
-		shm.WaitAllGE(p.S, p.Core, flags, last)
-	}
-	pc.mark(-1, obs.PhaseAck, 0)
-	for l := range view.cumBytes {
-		view.cumBytes[l] += kn
-	}
+	proto.Fused(c.mem(p, pc), &st.plans[p.Rank], first, view.cumBytes, subs, n)
 	pc.finish()
-	for _, r := range batch {
+	for i, r := range batch {
+		subs[i].Buf = nil
 		c.completeReq(r)
 	}
 }

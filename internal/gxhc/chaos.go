@@ -26,10 +26,8 @@ type ChaosConfig struct {
 	// junk fill. Caught by the per-request byte-exactness invariant.
 	EarlyComplete bool
 
-	// FuseCorrupt makes the fused-broadcast root rotate each staged sub-op
-	// payload left by one byte, corrupting the fusion batch's sub-op
-	// boundaries deterministically at any batch length (needs payloads of
-	// at least 2 bytes to take effect). Caught by byte-exactness.
+	// FuseCorrupt is core's FuseCorrupt: the fused root shifts each staged
+	// sub-op left by one byte (proto.Fused). Caught by byte-exactness.
 	FuseCorrupt bool
 
 	// SkipResultPull makes every top-group allreduce reducer take the

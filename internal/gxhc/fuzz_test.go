@@ -285,3 +285,63 @@ func FuzzGoCommAllgather(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGoCommBcast drives the shared broadcast protocol on real memory with
+// fuzzed shapes: three back-to-back broadcasts from mixed roots, sizes
+// drawn across the CICO threshold (1 KiB) and the chunk boundaries,
+// GroupSize 0-4 and small chunks. Every rank must end each op with the
+// root's bytes.
+func FuzzGoCommBcast(f *testing.F) {
+	f.Add(uint8(8), uint8(4), uint8(2), uint16(0), uint8(0), uint64(1))    // zero bytes
+	f.Add(uint8(8), uint8(4), uint8(2), uint16(1), uint8(3), uint64(2))    // one byte
+	f.Add(uint8(7), uint8(3), uint8(4), uint16(1024), uint8(6), uint64(3)) // largest CICO size
+	f.Add(uint8(9), uint8(2), uint8(4), uint16(1025), uint8(4), uint64(4)) // smallest pipelined size
+	f.Add(uint8(16), uint8(4), uint8(5), uint16(5000), uint8(15), uint64(5))
+	f.Add(uint8(1), uint8(0), uint8(0), uint16(7), uint8(0), uint64(6)) // singleton communicator
+
+	f.Fuzz(func(t *testing.T, nSeed, gsSeed, chunkSeed uint8, sizeSeed uint16, rootSeed uint8, seed uint64) {
+		n := 1 + int(nSeed)%16
+		cfg := Config{GroupSize: int(gsSeed) % 5, ChunkBytes: 16 << (chunkSeed % 8)}
+		c, err := New(n, cfg)
+		if err != nil {
+			t.Fatalf("New(%d, %+v): %v", n, cfg, err)
+		}
+		size := int(sizeSeed) % 8192
+		sizes := []int{size, (size + 1025) % 8192, size % 1030}
+		roots := make([]int, len(sizes))
+		bufs := make([][][]byte, len(sizes)) // [op][rank]
+		state := seed
+		for op, sz := range sizes {
+			roots[op] = (int(rootSeed) + op*5) % n
+			bufs[op] = make([][]byte, n)
+			for r := range bufs[op] {
+				bufs[op][r] = make([]byte, sz)
+				for i := range bufs[op][r] {
+					state = state*6364136223846793005 + 1442695040888963407
+					bufs[op][r][i] = byte(state >> 56)
+				}
+			}
+		}
+		want := make([][]byte, len(sizes))
+		for op := range sizes {
+			want[op] = append([]byte(nil), bufs[op][roots[op]]...)
+		}
+
+		runAll(n, func(rank int) {
+			for op := range sizes {
+				c.Bcast(rank, bufs[op][rank], roots[op])
+			}
+		})
+
+		for op := range sizes {
+			for r := 0; r < n; r++ {
+				for i, b := range bufs[op][r] {
+					if b != want[op][i] {
+						t.Fatalf("n=%d cfg=%+v op %d (root %d, %d B): rank %d byte %d = %d, want %d",
+							n, cfg, op, roots[op], sizes[op], r, i, b, want[op][i])
+					}
+				}
+			}
+		}
+	})
+}

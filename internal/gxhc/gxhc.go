@@ -7,7 +7,10 @@
 //
 // Unlike package core, which runs on the simulated node, gxhc coordinates
 // real goroutines sharing real slices, and is usable as a standalone
-// library for in-process parallel computations.
+// library for in-process parallel computations. The broadcast family
+// (Bcast, its CICO path below 1 KiB, fused Ibcast batches, the
+// subtree-first acks and the barrier round) is package proto's, shared
+// with core; gxhc supplies its real-memory layer (rankMem).
 //
 // The hot path is built for wall-clock speed (DESIGN.md §13): control
 // state lives in dense cache-line-padded flag arrays indexed by member
@@ -24,6 +27,7 @@ import (
 
 	"xhc/internal/hier"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/topo"
 )
 
@@ -86,6 +90,12 @@ type Comm struct {
 	// threshold from Config.FuseBytes.
 	fuse    [][]byte
 	fuseMax int
+	// cico[r] is rank r's two-slot copy-in-copy-out buffer for small
+	// broadcasts; mems[r] is its shared-protocol handle, and mut the
+	// protocol's view of Config.Chaos.
+	cico [][]byte
+	mems []rankMem
+	mut  proto.Mutants
 	// inflight counts non-blocking requests issued but not yet completed,
 	// across all ranks (the requests.max_inflight gauge's source).
 	inflight atomic.Int64
@@ -308,24 +318,14 @@ type groupCtl struct {
 	contrib []contribSlot
 }
 
-// levelRole is one rank's precomputed handle on one group: the control
-// block and the rank's member slot in it.
-type levelRole struct {
-	level int
-	slot  int
-	ctl   *groupCtl
-}
-
-// rankPlan precomputes everything a rank's hot path needs from the
-// hierarchy — which groups it leads (innermost first), where it pulls from
-// as a plain member, its slot in each, and its index partition among the
-// pull group's reducers — so collectives never walk the hierarchy, consult
-// a map, or allocate.
+// rankPlan is a rank's shared protocol plan (which groups it leads,
+// innermost first, and where it pulls from as a plain member, with its
+// slot in each) plus what only gxhc's reduction needs: its leaf role and
+// its index partition among the pull group's reducers. Collectives never
+// walk the hierarchy, consult a map, or allocate.
 type rankPlan struct {
-	lead    []levelRole // groups this rank leads, level 0 upward
-	pull    levelRole   // the group it is a plain member of (if hasPull)
-	hasPull bool
-	leaf    levelRole // role at level 0 (lead[0] or pull)
+	proto.Plan[*groupCtl]
+	leaf proto.Role[*groupCtl] // role at level 0 (Lead[0] or Pull)
 	// redIdx/redCnt partition [0,n) among the pull group's non-leader
 	// members for the reduction share.
 	redIdx, redCnt int
@@ -362,6 +362,15 @@ func New(n int, cfg Config) (*Comm, error) {
 		c.nb[r].q = make(chan *Request, nbQueueCap)
 	}
 	c.fuse = make([][]byte, n)
+	c.cico = make([][]byte, n)
+	c.mems = make([]rankMem, n)
+	for r := range c.mems {
+		c.cico[r] = make([]byte, 2*cicoBytes)
+		c.mems[r] = rankMem{c: c, rank: r}
+	}
+	if ch := cfg.Chaos; ch != nil {
+		c.mut = proto.Mutants{StaleReady: ch.StaleReady, FuseCorrupt: ch.FuseCorrupt}
+	}
 	switch {
 	case cfg.FuseBytes < 0:
 		c.fuseMax = 0
@@ -458,43 +467,26 @@ func (c *Comm) buildState(root int) (*state, error) {
 	}
 	st.top = st.groups[h.NLevels()-1][0]
 	st.plans = make([]rankPlan, c.n)
-	for r := 0; r < c.n; r++ {
+	for r, pp := range proto.Build(h, func(l, gi int) *groupCtl { return st.groups[l][gi] }) {
 		p := &st.plans[r]
-		for l := 0; l < h.NLevels(); l++ {
-			g, ok := h.GroupOf(l, r)
-			if !ok {
-				break
-			}
-			ctl := st.groups[l][g.Index]
-			role := levelRole{level: l, ctl: ctl}
-			for s, m := range g.Members {
-				if m == r {
-					role.slot = s
-					break
-				}
-			}
-			if h.IsLeader(l, r) {
-				p.lead = append(p.lead, role)
+		p.Plan = pp
+		if len(p.Lead) > 0 {
+			p.leaf = p.Lead[0]
+		} else {
+			p.leaf = p.Pull
+		}
+		if !p.HasPull {
+			continue
+		}
+		// Index partition among the group's non-leader members.
+		for s := range p.Pull.G.members {
+			if s == p.Pull.G.leaderSlot {
 				continue
 			}
-			p.pull = role
-			p.hasPull = true
-			// Index partition among the group's non-leader members.
-			for _, m := range g.Members {
-				if m == g.Leader {
-					continue
-				}
-				if m == r {
-					p.redIdx = p.redCnt
-				}
-				p.redCnt++
+			if s == p.Pull.Slot {
+				p.redIdx = p.redCnt
 			}
-			break // a non-leader participates in no higher level
-		}
-		if len(p.lead) > 0 {
-			p.leaf = p.lead[0]
-		} else {
-			p.leaf = p.pull
+			p.redCnt++
 		}
 	}
 	c.states[root].Store(st)
@@ -513,7 +505,8 @@ func (c *Comm) Bcast(rank int, buf []byte, root int) {
 	c.bcast(rank, buf, root)
 }
 
-// bcast is Bcast's body, called inline or from the rank's request worker.
+// bcast is Bcast's body, called inline or from the rank's request worker:
+// the shared broadcast protocol (proto.Bcast) on real memory.
 func (c *Comm) bcast(rank int, buf []byte, root int) {
 	st, err := c.stateFor(root)
 	if err != nil {
@@ -521,73 +514,110 @@ func (c *Comm) bcast(rank int, buf []byte, root int) {
 	}
 	v := &c.views[rank]
 	v.opSeq++
-	seq := v.opSeq
 	n := len(buf)
 	v.lastBytes = n
-	wc := c.newWallClock(rank, obs.OpBcast, seq, int64(n), st.h.NLevels())
-	p := &st.plans[rank]
-
-	for i := range p.lead {
-		ctl := p.lead[i].ctl
-		ctl.exposed = buf
-		ctl.expSeq.set(seq)
-	}
-	wc.mark(-1, obs.PhaseExpose, 0)
-	if rank == root {
-		for i := range p.lead {
-			lr := &p.lead[i]
-			lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
-		}
-		wc.mark(-1, obs.PhaseChunkCopy, int64(n))
-	} else if n > 0 {
-		ctl := p.pull.ctl
-		c.wait(&ctl.expSeq, seq, rank, opBudget(ctl.spinBudget, n))
-		src := ctl.exposed
-		wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
-		base := v.cum[p.pull.level]
-		copied := 0
-		for copied < n {
-			var avail int
-			if c.cfg.Chaos != nil && c.cfg.Chaos.StaleReady {
-				// Mutation: skip the ready wait and trust the exposure.
-				avail = n
-			} else {
-				want := copied + min(c.cfg.ChunkBytes, n-copied)
-				avail = int(c.wait(&ctl.ready, base+uint64(want), rank, opBudget(ctl.spinBudget, n)) - base)
-				if avail > n {
-					avail = n
-				}
-			}
-			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
-			before := copied
-			copy(buf[copied:avail], src[copied:avail])
-			copied = avail
-			for i := range p.lead {
-				lr := &p.lead[i]
-				lr.ctl.ready.set(v.cum[lr.level] + uint64(copied))
-			}
-			wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(copied-before))
-		}
-	}
-
-	// Hierarchical acknowledgment.
-	if p.hasPull {
-		p.pull.ctl.acks[p.pull.slot].set(seq)
-	}
-	for i := range p.lead {
-		lr := &p.lead[i]
-		for s := range lr.ctl.acks {
-			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, n))
-			}
-		}
-	}
-	wc.mark(-1, obs.PhaseAck, 0)
-	for l := range v.cum {
-		v.cum[l] += uint64(n)
-	}
+	wc := c.newWallClock(rank, obs.OpBcast, v.opSeq, int64(n), st.h.NLevels())
+	proto.Bcast(c.mem(rank, wc, n), &st.plans[rank].Plan, v.opSeq, v.cum[:], buf, 0, n)
 	wc.finish()
 }
+
+// cicoBytes is the largest broadcast that takes the copy-in-copy-out path
+// (proto.Bcast), the paper's 1 KiB default; each rank's CICO buffer holds
+// two slots of this size.
+const cicoBytes = 1 << 10
+
+// rankMem is one rank's handle on real memory for the shared protocol:
+// the op's wall clock and the payload size that selects its spin budget
+// (opBudget). One per rank, allocated in New; a rank runs one op at a time.
+// Padded to a line: each rank rewrites its handle every op.
+type rankMem struct {
+	c     *Comm
+	rank  int
+	wc    *wallClock
+	bytes int
+	_     [cacheLine - 32]byte
+}
+
+// mem points rank's protocol handle at the op it is about to run.
+func (c *Comm) mem(rank int, wc *wallClock, bytes int) *rankMem {
+	m := &c.mems[rank]
+	m.wc, m.bytes = wc, bytes
+	return m
+}
+
+func (m *rankMem) flag(r *proto.Role[*groupCtl], f proto.Flag) *flagLine {
+	switch f {
+	case proto.Exp:
+		return &r.G.expSeq
+	case proto.Ready:
+		return &r.G.ready
+	}
+	return &r.G.acks[r.Slot]
+}
+
+func (m *rankMem) Set(r *proto.Role[*groupCtl], f proto.Flag, v uint64) { m.flag(r, f).set(v) }
+
+func (m *rankMem) WaitGE(r *proto.Role[*groupCtl], f proto.Flag, v uint64) uint64 {
+	return m.c.wait(m.flag(r, f), v, m.rank, opBudget(r.G.spinBudget, m.bytes))
+}
+
+func (m *rankMem) WaitAll(r *proto.Role[*groupCtl], v uint64) {
+	ctl := r.G
+	budget := opBudget(ctl.spinBudget, m.bytes)
+	for s := range ctl.acks {
+		if s != r.Slot {
+			m.c.wait(&ctl.acks[s], v, m.rank, budget)
+		}
+	}
+}
+
+func (m *rankMem) Expose(r *proto.Role[*groupCtl], buf []byte, off int, first uint64) {
+	r.G.exposed = buf[off:]
+	r.G.fuseFirst = first
+}
+
+func (m *rankMem) Attach(r *proto.Role[*groupCtl]) ([]byte, int, uint64) {
+	return r.G.exposed, 0, r.G.fuseFirst
+}
+
+func (m *rankMem) Release(*proto.Role[*groupCtl]) {}
+
+func (m *rankMem) Copy(dst []byte, doff int, src []byte, soff, n int) {
+	copy(dst[doff:doff+n], src[soff:soff+n])
+}
+
+func (m *rankMem) CICO(rank int) ([]byte, int) { return m.c.cico[rank], cicoBytes }
+
+func (m *rankMem) CICOMax() int { return cicoBytes }
+
+func (m *rankMem) Chunk(int) int { return m.c.cfg.ChunkBytes }
+
+// FuseStage returns the rank's grow-only fused-batch staging buffer,
+// grown to the next power of two so mixed batch shapes settle.
+func (m *rankMem) FuseStage(n int) []byte {
+	stg := m.c.fuse[m.rank]
+	if cap(stg) < n {
+		sz := 1
+		for sz < n {
+			sz <<= 1
+		}
+		stg = make([]byte, sz)
+		m.c.fuse[m.rank] = stg
+	}
+	return stg[:cap(stg)]
+}
+
+func (m *rankMem) Mark(level int, ph proto.Phase, bytes int64) {
+	m.wc.mark(level, obs.Phase(ph), bytes)
+}
+
+func (m *rankMem) MarkFrom(level int, ph proto.Phase, bytes int64, from int) {
+	m.wc.markFrom(level, obs.Phase(ph), bytes, from)
+}
+
+func (m *rankMem) Pull(int, int) {}
+
+func (m *rankMem) Mutants() proto.Mutants { return m.c.mut }
 
 // AllreduceFloat64 sums src element-wise across all participants into
 // every participant's dst (len(dst) == len(src) everywhere). The reduction
@@ -652,7 +682,7 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	// reused by capacity and grown to the next power of two, so a mixed-size
 	// op sequence settles instead of reallocating on every size increase.
 	acc := dst
-	if !bcast && rank != root && len(p.lead) > 0 {
+	if !bcast && rank != root && len(p.Lead) > 0 {
 		s := c.scratch[rank]
 		if cap(s) < n {
 			sz := 1
@@ -668,27 +698,27 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	// Expose contributions: src at the leaf level, acc (accumulator) above.
 	// Contribution slices and the leader accumulator are plain fields,
 	// published by the red/expSeq flag stores below.
-	if p.hasPull {
-		cs := &p.pull.ctl.contrib[p.pull.slot]
-		if p.pull.level == 0 {
+	if p.HasPull {
+		cs := &p.Pull.G.contrib[p.Pull.Slot]
+		if p.Pull.Level == 0 {
 			cs.f = src
 		} else {
 			cs.f = acc
 		}
 	}
-	for i := range p.lead {
-		lr := &p.lead[i]
-		cs := &lr.ctl.contrib[lr.slot]
-		if lr.level == 0 {
+	for i := range p.Lead {
+		lr := &p.Lead[i]
+		cs := &lr.G.contrib[lr.Slot]
+		if lr.Level == 0 {
 			cs.f = src
 		} else {
 			cs.f = acc
 		}
-		lr.ctl.exposedF = acc // accumulator for reducers
-		lr.ctl.expSeq.set(seq)
+		lr.G.exposedF = acc // accumulator for reducers
+		lr.G.expSeq.set(seq)
 	}
 	// Leaf contributions are ready immediately.
-	p.leaf.ctl.red[p.leaf.slot].set(seq * 2) // phase counter: 2k = ready
+	p.leaf.G.red[p.leaf.Slot].set(seq * 2) // phase counter: 2k = ready
 	wc.mark(-1, obs.PhaseExpose, 0)
 
 	// Bottom-up walk. A rank first completes its duties as a leader of
@@ -696,23 +726,23 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	// own contribution readiness one level up), and only then performs
 	// its reduction share at its pull level — mirroring the dependency
 	// order of the simulated implementation.
-	for i := range p.lead {
-		lr := &p.lead[i]
-		if lr.level == 0 && len(lr.ctl.members) == 1 {
+	for i := range p.Lead {
+		lr := &p.Lead[i]
+		if lr.Level == 0 && len(lr.G.members) == 1 {
 			// Singleton leaf group: the accumulator takes the leader's own
 			// contribution directly.
 			copy(acc, src)
 		}
-		for s := range lr.ctl.red {
-			if s != lr.slot {
-				c.wait(&lr.ctl.red[s], seq*2+1, rank, opBudget(lr.ctl.spinBudget, n*8))
+		for s := range lr.G.red {
+			if s != lr.Slot {
+				c.wait(&lr.G.red[s], seq*2+1, rank, opBudget(lr.G.spinBudget, n*8))
 			}
 		}
-		if i+1 < len(p.lead) {
-			up := &p.lead[i+1]
-			up.ctl.red[up.slot].set(seq * 2)
-		} else if p.hasPull {
-			p.pull.ctl.red[p.pull.slot].set(seq * 2)
+		if i+1 < len(p.Lead) {
+			up := &p.Lead[i+1]
+			up.G.red[up.Slot].set(seq * 2)
+		} else if p.HasPull {
+			p.Pull.G.red[p.Pull.Slot].set(seq * 2)
 		}
 	}
 	wc.mark(-1, obs.PhaseFlagWait, 0)
@@ -720,8 +750,8 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	// vector) computes the final result itself: it writes each finished
 	// block straight into its own dst and skips the result pull (sole).
 	sole := false
-	if p.hasPull {
-		ctl := p.pull.ctl
+	if p.HasPull {
+		ctl := p.Pull.G
 		// Reduce this rank's index partition of [0,n) into the leader's
 		// accumulator.
 		lo := n * p.redIdx / p.redCnt
@@ -737,12 +767,12 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 			for s := range ctl.red {
 				c.wait(&ctl.red[s], seq*2, rank, opBudget(ctl.spinBudget, n*8))
 			}
-			wc.mark(p.pull.level, obs.PhaseFlagWait, 0)
+			wc.mark(p.Pull.Level, obs.PhaseFlagWait, 0)
 			c.reduceSlice(ctl, op, lo, hi, out)
-			wc.mark(p.pull.level, obs.PhaseReduceSlice, int64(hi-lo)*8)
+			wc.mark(p.Pull.Level, obs.PhaseReduceSlice, int64(hi-lo)*8)
 		}
 		// Signal slice completion (phase 2k+1).
-		ctl.red[p.pull.slot].set(seq*2 + 1)
+		ctl.red[p.Pull.Slot].set(seq*2 + 1)
 	}
 
 	// Broadcast the result from the top leader (rank 0's dst for allreduce;
@@ -750,29 +780,29 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	// ready counters and their cum mirrors untouched).
 	if bcast {
 		if rank == st.topLeader {
-			for i := range p.lead {
-				lr := &p.lead[i]
-				lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
+			for i := range p.Lead {
+				lr := &p.Lead[i]
+				lr.G.ready.set(v.cum[lr.Level] + uint64(n))
 			}
 		} else if n > 0 {
 			// n == 0 publishes nothing, so the ready counter cannot order this
 			// pull against the leader's expose; skip it — there is no data.
-			ctl := p.pull.ctl
+			ctl := p.Pull.G
 			if !sole {
-				base := v.cum[p.pull.level]
+				base := v.cum[p.Pull.Level]
 				c.wait(&ctl.ready, base+uint64(n), rank, opBudget(ctl.spinBudget, n*8))
-				wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
+				wc.markFrom(p.Pull.Level, obs.PhaseFlagWait, 0, ctl.leader)
 				final := ctl.exposedF
 				if &dst[0] != &final[0] {
 					copy(dst, final)
 				}
 			}
-			for i := range p.lead {
-				lr := &p.lead[i]
-				lr.ctl.ready.set(v.cum[lr.level] + uint64(n))
+			for i := range p.Lead {
+				lr := &p.Lead[i]
+				lr.G.ready.set(v.cum[lr.Level] + uint64(n))
 			}
 			if !sole {
-				wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(n)*8)
+				wc.mark(p.Pull.Level, obs.PhaseChunkCopy, int64(n)*8)
 			}
 		}
 	}
@@ -783,28 +813,17 @@ func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool,
 	// refills it for the next op. Hold until every co-reducer in the pull
 	// group has finished its slice. Allreduce needs none of this — the
 	// result broadcast already orders every return after the full fan-in.
-	if !bcast && p.hasPull {
-		ctl := p.pull.ctl
+	if !bcast && p.HasPull {
+		ctl := p.Pull.G
 		for s := range ctl.red {
-			if s != p.pull.slot && s != ctl.leaderSlot {
+			if s != p.Pull.Slot && s != ctl.leaderSlot {
 				c.wait(&ctl.red[s], seq*2+1, rank, opBudget(ctl.spinBudget, n*8))
 			}
 		}
 	}
 
 	// Acknowledgment + counter advance.
-	if p.hasPull {
-		p.pull.ctl.acks[p.pull.slot].set(seq)
-	}
-	for i := range p.lead {
-		lr := &p.lead[i]
-		for s := range lr.ctl.acks {
-			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, n*8))
-			}
-		}
-	}
-	wc.mark(-1, obs.PhaseAck, 0)
+	proto.AckPhase(c.mem(rank, wc, n*8), &p.Plan, seq)
 	if bcast {
 		for l := range v.cum {
 			v.cum[l] += uint64(n)
@@ -863,35 +882,11 @@ func (c *Comm) barrier(rank int) {
 	wc.finish()
 }
 
-// barrierBody is the hierarchical arrival/release round: arrival propagates
-// up via the ack counters, release propagates down via the ready counters,
-// consuming one token on every level's cum mirror. Used by Barrier and as
-// Allgather's exit synchronization (no participant may return — and reuse
+// barrierBody is the shared hierarchical arrival/release round
+// (proto.Barrier). Used by Barrier and as Allgather's exit synchronization (no participant may return — and reuse
 // its exposed contribution — before every other participant has read it).
 func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *wallClock) {
-	p := &st.plans[rank]
-	seq := v.opSeq
-	for i := range p.lead {
-		lr := &p.lead[i]
-		for s := range lr.ctl.acks {
-			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, v.lastBytes))
-			}
-		}
-	}
-	if p.hasPull {
-		ctl := p.pull.ctl
-		ctl.acks[p.pull.slot].set(seq)
-		c.wait(&ctl.ready, v.cum[p.pull.level]+1, rank, opBudget(ctl.spinBudget, v.lastBytes))
-	}
-	for i := len(p.lead) - 1; i >= 0; i-- {
-		lr := &p.lead[i]
-		lr.ctl.ready.set(v.cum[lr.level] + 1)
-	}
-	for l := range v.cum {
-		v.cum[l]++
-	}
-	wc.mark(-1, obs.PhaseFlagWait, 0)
+	proto.Barrier(c.mem(rank, wc, v.lastBytes), &st.plans[rank].Plan, v.opSeq, v.cum[:])
 }
 
 // Allgather concatenates every participant's in block into each
@@ -964,7 +959,6 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 	blockLen := len(out)
 	v.lastBytes = blockLen
 	wc := c.newWallClock(rank, obs.OpScatter, seq, int64(blockLen), st.h.NLevels())
-	p := &st.plans[rank]
 
 	ctl := st.top // top group carries the exposure
 	if rank == root {
@@ -985,20 +979,8 @@ func (c *Comm) scatter(rank int, in, out []byte, root int) {
 
 	// Hierarchical acknowledgment (converges to root, the top leader). The
 	// exposure crosses group boundaries — every rank pulls from root's in —
-	// so acks must be subtree-ordered: a leader collects its led groups
-	// BEFORE publishing its own ack, making root's return proof that no
-	// rank anywhere is still reading in.
-	for i := range p.lead {
-		lr := &p.lead[i]
-		for s := range lr.ctl.acks {
-			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], seq, rank, opBudget(lr.ctl.spinBudget, blockLen))
-			}
-		}
-	}
-	if p.hasPull {
-		p.pull.ctl.acks[p.pull.slot].set(seq)
-	}
-	wc.mark(-1, obs.PhaseAck, 0)
+	// and the subtree-ordered ack makes root's return proof that no rank
+	// anywhere is still reading in.
+	proto.AckPhase(c.mem(rank, wc, blockLen), &st.plans[rank].Plan, seq)
 	wc.finish()
 }

@@ -449,3 +449,49 @@ func TestTraceRecordsPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestBcastAckCertifiesSubtree pins the subtree-first acknowledgment on
+// real memory: when the root's Bcast returns, every non-leader ack in
+// every group of that root's hierarchy already holds the op's sequence, so
+// the root's return proves no rank anywhere still reads its buffer. Two
+// levels (GroupSize 4 of 8), every root, a CICO and a pipelined size.
+func TestBcastAckCertifiesSubtree(t *testing.T) {
+	const n = 8
+	c := MustNew(n, Config{GroupSize: 4, ChunkBytes: 256})
+	for _, size := range []int{64, 4096} {
+		for root := 0; root < n; root++ {
+			st, err := c.stateFor(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.h.NLevels() != 2 {
+				t.Fatalf("root %d: %d levels, want 2", root, st.h.NLevels())
+			}
+			bufs := make([][]byte, n)
+			for r := range bufs {
+				bufs[r] = make([]byte, size)
+			}
+			var lagging string
+			runAll(n, func(rank int) {
+				c.Bcast(rank, bufs[rank], root)
+				if rank != root {
+					return
+				}
+				seq := c.views[rank].opSeq
+				for l, lvl := range st.groups {
+					for gi, ctl := range lvl {
+						for s := range ctl.acks {
+							if s != ctl.leaderSlot && ctl.acks[s].load() < seq {
+								lagging = fmt.Sprintf("level %d group %d slot %d at %d, want %d",
+									l, gi, s, ctl.acks[s].load(), seq)
+							}
+						}
+					}
+				}
+			})
+			if lagging != "" {
+				t.Fatalf("size %d root %d: root returned before the ack of %s", size, root, lagging)
+			}
+		}
+	}
+}

@@ -188,6 +188,9 @@ func TestFlagLineLayout(t *testing.T) {
 	if got := unsafe.Sizeof(viewSlot{}); got%cacheLine != 0 {
 		t.Errorf("sizeof(viewSlot) = %d, want a multiple of %d", got, cacheLine)
 	}
+	if got := unsafe.Sizeof(rankMem{}); got%cacheLine != 0 {
+		t.Errorf("sizeof(rankMem) = %d, want a multiple of %d", got, cacheLine)
+	}
 	if got := unsafe.Sizeof(agSlot{}); got%cacheLine != 0 {
 		t.Errorf("sizeof(agSlot) = %d, want a multiple of %d", got, cacheLine)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 )
 
 // Non-blocking collectives (DESIGN.md §15). Ibcast/Iallreduce/Ireduce/
@@ -20,7 +21,7 @@ import (
 //
 // Small same-shape Ibcasts (payload <= Config.FuseBytes) are fusable: the
 // worker drains consecutive matching requests from its queue and runs them
-// as one hierarchy traversal (fusedBcast). Batch boundaries are allowed to
+// as one hierarchy traversal (proto.Fused). Batch boundaries are allowed to
 // be ragged across ranks — the protocol tolerates a leader that batched
 // [1..2],[3..4] against a member that batched [1..4] — because shape
 // changes break batches at the same op index everywhere (op-order
@@ -94,7 +95,9 @@ type nbRank struct {
 	pending atomic.Int64
 	// seq numbers completed requests (worker-only) for per-request spans.
 	seq uint64
-	_   [cacheLine]byte
+	// subs holds the sub-op buffers of the batch being fused (worker-only).
+	subs [maxFuseBatch]proto.Sub[[]byte]
+	_    [cacheLine]byte
 }
 
 // getReq pops a pooled request (or allocates the lane's first few),
@@ -358,7 +361,7 @@ func (c *Comm) nbWorker(rank int) {
 				break drain
 			}
 		}
-		c.fusedBcast(rank, batch[:k])
+		c.execFused(rank, batch[:k])
 		for i := 0; i < k; i++ {
 			batch[i] = nil
 		}
@@ -428,132 +431,39 @@ func (c *Comm) completeReq(r *Request) {
 	c.inflight.Add(-1)
 }
 
-// fusedBcast runs a batch of same-shape small broadcasts as one hierarchy
-// traversal. Leaders stage the batch contiguously ((q-first)*n per sub-op
-// q) in their grow-only c.fuse slot and publish staging+fuseFirst through
-// expSeq (set to the batch's last sub-op seq); members consume sub-ops as
-// expSeq advances, re-staging and republishing downward if they lead, and
-// ack incrementally per round — required for ragged batches: a leader that
-// batched [1..2] must unfreeze on ack 2 while its member is still inside
-// its own [1..4] batch. A leader's staging is frozen until every member
-// acks the batch's last sub-op (the trailing ack wait), and each rank
-// advances its cum mirrors by k*n so the counters stay exchangeable with
-// the blocking ops around the batch.
-func (c *Comm) fusedBcast(rank int, batch []*Request) {
+// execFused runs a popped batch of same-shape small broadcasts as one
+// fused hierarchy traversal (proto.Fused), with this backend's op
+// accounting around it.
+func (c *Comm) execFused(rank int, batch []*Request) {
 	if c.cfg.Chaos != nil && c.cfg.Chaos.EarlyComplete {
 		for _, r := range batch {
 			c.completeReq(r)
 		}
 		return
 	}
-	root := batch[0].root
 	n := len(batch[0].buf)
 	k := len(batch)
-	st, err := c.stateFor(root)
+	st, err := c.stateFor(batch[0].root)
 	if err != nil {
 		panic(err)
 	}
 	v := &c.views[rank]
 	first := v.opSeq + 1
 	v.opSeq += uint64(k)
-	last := v.opSeq
 	v.lastBytes = n
-	p := &st.plans[rank]
-	kn := uint64(k) * uint64(n)
 	if rank == 0 && c.rec != nil {
 		c.rec.CountFusedBatch(k, int64(k)*int64(n))
 	}
-	wc := c.newWallClock(rank, obs.OpBcast, last, int64(k*n), st.h.NLevels())
-
-	// Leaders stage; plain leaf members copy straight into request bufs.
-	var stg []byte
-	if len(p.lead) > 0 {
-		stg = c.fuse[rank]
-		if cap(stg) < k*n {
-			sz := 1
-			for sz < k*n {
-				sz <<= 1
-			}
-			stg = make([]byte, sz)
-			c.fuse[rank] = stg
-		}
-		stg = stg[:cap(stg)]
+	wc := c.newWallClock(rank, obs.OpBcast, v.opSeq, int64(k*n), st.h.NLevels())
+	w := &c.nb[rank]
+	subs := w.subs[:k]
+	for i, r := range batch {
+		subs[i] = proto.Sub[[]byte]{Buf: r.buf}
 	}
-
-	if rank == root {
-		for i, r := range batch {
-			copy(stg[i*n:(i+1)*n], r.buf)
-		}
-		if c.cfg.Chaos != nil && c.cfg.Chaos.FuseCorrupt && n >= 2 {
-			// Mutation: rotate each staged sub-op payload left one byte —
-			// a corrupted sub-op boundary, deterministic at any batch size.
-			for i := 0; i < k; i++ {
-				b := stg[i*n : (i+1)*n]
-				fb := b[0]
-				copy(b, b[1:])
-				b[n-1] = fb
-			}
-		}
-		for i := range p.lead {
-			lr := &p.lead[i]
-			lc := lr.ctl
-			lc.exposed = stg
-			lc.fuseFirst = first
-			lc.ready.set(v.cum[lr.level] + kn)
-			lc.expSeq.set(last)
-		}
-		wc.mark(-1, obs.PhaseExpose, 0)
-		wc.mark(-1, obs.PhaseChunkCopy, int64(k*n))
-	} else {
-		ctl := p.pull.ctl
-		served := uint64(0)
-		for served < uint64(k) {
-			e := c.wait(&ctl.expSeq, first+served, rank, opBudget(ctl.spinBudget, n))
-			wc.markFrom(p.pull.level, obs.PhaseFlagWait, 0, ctl.leader)
-			f := ctl.fuseFirst // re-read: the parent may have re-staged
-			src := ctl.exposed
-			upTo := e
-			if upTo > last {
-				upTo = last
-			}
-			for q := first + served; q <= upTo; q++ {
-				r := batch[q-first]
-				off := int(q-f) * n
-				copy(r.buf, src[off:off+n])
-				if stg != nil {
-					copy(stg[int(q-first)*n:], r.buf)
-				}
-			}
-			for i := range p.lead {
-				lr := &p.lead[i]
-				lc := lr.ctl
-				lc.exposed = stg
-				lc.fuseFirst = first
-				lc.ready.set(v.cum[lr.level] + (upTo-first+1)*uint64(n))
-				lc.expSeq.set(upTo)
-			}
-			ctl.acks[p.pull.slot].set(upTo)
-			wc.mark(p.pull.level, obs.PhaseChunkCopy, int64(upTo-(first+served)+1)*int64(n))
-			served = upTo - first + 1
-		}
-	}
-
-	// Freeze guard: a leader's staging (and fuseFirst) may only be reused
-	// once every member has consumed the whole batch.
-	for i := range p.lead {
-		lr := &p.lead[i]
-		for s := range lr.ctl.acks {
-			if s != lr.slot {
-				c.wait(&lr.ctl.acks[s], last, rank, opBudget(lr.ctl.spinBudget, n))
-			}
-		}
-	}
-	wc.mark(-1, obs.PhaseAck, 0)
-	for l := range v.cum {
-		v.cum[l] += kn
-	}
+	proto.Fused(c.mem(rank, wc, n), &st.plans[rank].Plan, first, v.cum[:], subs, n)
 	wc.finish()
-	for _, r := range batch {
+	for i, r := range batch {
+		subs[i].Buf = nil
 		c.completeReq(r)
 	}
 }

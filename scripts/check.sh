@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 gate (ROADMAP.md) plus vet and a race pass over the packages that
 # exercise real concurrency: gxhc (goroutine-backed library), env (harness
-# plumbing), verify (schedule-exploration checker, which drives gxhc) —
+# plumbing), verify (schedule-exploration checker, which drives gxhc),
+# proto (the shared broadcast protocol, run on goroutines by its tests) —
 # exper's parallel experiment cells are covered transitively.
 # This script is the one definition of the gate; `make check` runs it.
 set -eux
@@ -13,7 +14,7 @@ go test -shuffle=on ./...
 # line above does not reach it. Its oracle, corrupted-output and
 # panicking-rank tests pin the gxhc outputs the benchmark times.
 (cd perfbench && go test ./...)
-go test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/
+go test -race ./internal/gxhc/ ./internal/env/ ./internal/verify/ ./internal/proto/
 
 # Schedule-exploration gate: sweep randomized configurations under seeded
 # random/PCT schedules with fault injection, cross-checking XHC against a
@@ -28,10 +29,12 @@ go run ./cmd/xhcverify -quick
 go run ./cmd/xhcverify -cluster -quick
 
 # Short fuzz smoke: the seed corpora plus a few seconds of mutation on the
-# goroutine-backed allreduce, rooted reduce, allgather, the non-blocking
+# goroutine-backed broadcast (sizes across the CICO and chunk boundaries),
+# allreduce, rooted reduce, allgather, the non-blocking
 # request layer (random Test/Wait interleavings over 2-4 overlapped
 # Iallreduces per rank) and the hierarchy builder. The race pass above
 # already covers the gxhc non-blocking tests.
+go test -fuzz FuzzGoCommBcast -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzGoCommAllreduce -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzGoCommReduce -fuzztime 5s -run '^$' ./internal/gxhc/
 go test -fuzz FuzzGoCommAllgather -fuzztime 5s -run '^$' ./internal/gxhc/
