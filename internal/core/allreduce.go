@@ -54,10 +54,10 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 	if !bcast {
 		opCode = obs.OpReduce
 	}
-	pc := c.newPhaseClock(p, opCode, view.opSeq, int64(n), st.h.NLevels())
+	pc := c.clocks.Start(p.Rank, opCode, view.opSeq, int64(n), st.h.NLevels())
 	if n == 0 {
 		c.ack(p, st, view, pc)
-		pc.finish()
+		pc.Finish()
 		return
 	}
 
@@ -108,10 +108,10 @@ func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Data
 				}
 			}
 			shm.WaitAllGE(p.S, p.Core, flags, view.opSeq)
-			pc.mark(-1, obs.PhaseAck, 0)
+			pc.Mark(-1, obs.PhaseAck, 0)
 		}
 	}
-	pc.finish()
+	pc.Finish()
 }
 
 // scratchFor returns (growing on demand) rank's internal accumulator.
@@ -187,7 +187,7 @@ func (c *Comm) pollInterval(n int) sim.Duration {
 }
 
 // xpmemAllreduce is the single-copy path.
-func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *phaseClock) {
+func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *obs.OpClock) {
 	plan := &st.plans[p.Rank]
 	pl := plan.PullLevel()
 	es := dt.Size()
@@ -225,7 +225,7 @@ func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, 
 			gs.redReady[p.Rank].Set(p.S, p.Core, view.redCum[0]+uint64(n))
 		}
 	}
-	pc.mark(-1, obs.PhaseExpose, 0)
+	pc.Mark(-1, obs.PhaseExpose, 0)
 
 	if len(plan.Lead) == 0 {
 		// Pure member: blocking reduction work, then the broadcast pull.
@@ -241,7 +241,7 @@ func (c *Comm) xpmemAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, 
 // memberReduceSlice performs this rank's share of the intra-group
 // reduction at level pl (paper step 2a), blocking on the participants'
 // reduce_ready counters chunk by chunk.
-func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl, n, es int, dt mpi.Datatype, op mpi.Op, pc *phaseClock) {
+func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl, n, es int, dt mpi.Datatype, op mpi.Op, pc *obs.OpClock) {
 	gs, _ := st.groupOf(pl, p.Rank)
 	part := c.reducePartition(gs, n, es, c.Cfg.ReduceMinChunk)
 	slice := part[p.Rank]
@@ -249,12 +249,12 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 	doneBase := view.redDoneBase(pl)
 	if s == e {
 		gs.redDone[p.Rank].Set(p.S, p.Core, doneBase)
-		pc.mark(pl, obs.PhaseReduceSlice, 0)
+		pc.Mark(pl, obs.PhaseReduceSlice, 0)
 		return
 	}
 	redBase := view.redCum[pl]
 	chunk := c.chunkAt(pl)
-	early := c.chaos().EarlyReady
+	early := c.chaos.EarlyReady
 	if early {
 		// Mutation: publish the whole slice as reduced before any of the
 		// reduction work ran — the leader forwards (or the root drains)
@@ -264,7 +264,7 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 
 	// Attach the accumulator and every participant's contribution.
 	gs.accExpSeq.WaitGE(p.S, p.Core, view.opSeq)
-	pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+	pc.MarkFrom(pl, obs.PhaseFlagWait, 0, gs.leader)
 	accB := c.caches[p.Rank].Attach(p.S, gs.accExposed)
 	accOff := gs.accExposedOff
 	srcs := make(map[int]*mem.Buffer, len(gs.g.Members))
@@ -274,7 +274,7 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 		srcs[m] = c.caches[p.Rank].Attach(p.S, h)
 		offs[m] = o
 	}
-	pc.mark(pl, obs.PhaseExpose, 0)
+	pc.Mark(pl, obs.PhaseExpose, 0)
 
 	var readyFlags []*shm.Flag
 	for _, m := range gs.g.Members {
@@ -283,13 +283,13 @@ func (c *Comm) memberReduceSlice(p *env.Proc, st *commState, view *rankView, pl,
 	for cur := s; cur < e; {
 		step := min(chunk, e-cur)
 		shm.WaitAllGE(p.S, p.Core, readyFlags, redBase+uint64(cur+step))
-		pc.mark(pl, obs.PhaseFlagWait, 0)
+		pc.Mark(pl, obs.PhaseFlagWait, 0)
 		c.reduceChunk(p, gs, accB, accOff, srcs, offs, cur, step, dt, op)
 		cur += step
 		if !early {
 			gs.redDone[p.Rank].Set(p.S, p.Core, doneBase+uint64(cur-s))
 		}
-		pc.mark(pl, obs.PhaseReduceSlice, int64(step))
+		pc.Mark(pl, obs.PhaseReduceSlice, int64(step))
 	}
 }
 
@@ -320,7 +320,7 @@ func (c *Comm) reduceChunk(p *env.Proc, gs *groupState, acc *mem.Buffer, accOff 
 // its own reduce_ready upward (step 2b), its own reduction slice at its
 // pull level, triggering/forwarding the broadcast (step 3) — in a polling
 // loop, the way the paper describes leaders operating.
-func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n, es int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, plan *proto.Plan[*groupState], pl int, pc *phaseClock) {
+func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n, es int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, plan *proto.Plan[*groupState], pl int, pc *obs.OpClock) {
 	lead := plan.Lead
 	type monitorState struct {
 		gs        *groupState
@@ -577,11 +577,11 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 		if pc != nil {
 			switch {
 			case reducedIter > 0:
-				pc.mark(pl, obs.PhaseReduceSlice, int64(reducedIter))
+				pc.Mark(pl, obs.PhaseReduceSlice, int64(reducedIter))
 			case copiedIter > 0:
-				pc.mark(pl, obs.PhaseChunkCopy, int64(copiedIter))
+				pc.Mark(pl, obs.PhaseChunkCopy, int64(copiedIter))
 			default:
-				pc.mark(-1, obs.PhaseFlagWait, 0)
+				pc.Mark(-1, obs.PhaseFlagWait, 0)
 			}
 		}
 		if done {
@@ -589,7 +589,7 @@ func (c *Comm) leaderProgressLoop(p *env.Proc, st *commState, view *rankView, sb
 		}
 		if !progressed {
 			p.S.Sleep(poll)
-			pc.mark(-1, obs.PhaseFlagWait, 0)
+			pc.Mark(-1, obs.PhaseFlagWait, 0)
 		}
 	}
 }
@@ -605,7 +605,7 @@ func (gs *groupState) readyValue(p *env.Proc) uint64 {
 
 // cicoAllreduce is the small-message path: contributions staged in the
 // per-rank CICO buffers, one reducer per group, CICO broadcast back.
-func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *phaseClock) {
+func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, acc, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int, pc *obs.OpClock) {
 	plan := &st.plans[p.Rank]
 	pl := plan.PullLevel()
 	slot := int(view.opSeq) % 2 * (c.Cfg.CICOBytes / 2)
@@ -615,7 +615,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 	p.Copy(c.cico[p.Rank], slot, sbuf, 0, n)
 	gs0, _ := st.groupOf(0, p.Rank)
 	gs0.redReady[p.Rank].Set(p.S, p.Core, view.redCum[0]+uint64(n))
-	pc.mark(0, obs.PhaseChunkCopy, int64(n))
+	pc.Mark(0, obs.PhaseChunkCopy, int64(n))
 
 	// Bottom-up: monitor led groups (wait for every active reducer's
 	// slice), then publish upward; do own reduction duty at the pull level.
@@ -636,7 +636,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 			}
 		}
 		shm.WaitAllTargets(p.S, p.Core, doneFlags, doneTargets)
-		pc.mark(l, obs.PhaseFlagWait, 0)
+		pc.Mark(l, obs.PhaseFlagWait, 0)
 		// This group's result now sits in this leader's CICO slot; it is
 		// the leader's contribution one level up.
 		if l+1 < st.h.NLevels() {
@@ -650,7 +650,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 		part := c.reducePartition(gs, n, es, c.Cfg.CICOMinReduce)
 		if sl, ok := part[p.Rank]; ok && sl[1] > sl[0] {
 			s0, e0 := sl[0], sl[1]
-			early := c.chaos().EarlyReady
+			early := c.chaos.EarlyReady
 			if early {
 				// Mutation: announce the slice as reduced before folding it.
 				gs.redDone[p.Rank].Set(p.S, p.Core, view.redDoneBase(pl)+uint64(e0-s0))
@@ -663,7 +663,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 				readyFlags = append(readyFlags, gs.redReady[m])
 			}
 			shm.WaitAllGE(p.S, p.Core, readyFlags, view.redCum[pl]+uint64(n))
-			pc.mark(pl, obs.PhaseFlagWait, 0)
+			pc.Mark(pl, obs.PhaseFlagWait, 0)
 			dst := c.cico[gs.leader]
 			for _, m := range gs.g.Members {
 				if m == gs.leader {
@@ -678,7 +678,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 			if !early {
 				gs.redDone[p.Rank].Set(p.S, p.Core, view.redDoneBase(pl)+uint64(e0-s0))
 			}
-			pc.mark(pl, obs.PhaseReduceSlice, int64(e0-s0))
+			pc.Mark(pl, obs.PhaseReduceSlice, int64(e0-s0))
 		}
 	}
 
@@ -686,7 +686,7 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 		// Reduce: the root drains its CICO accumulator into rbuf.
 		if p.Rank == root {
 			p.Copy(rbuf, 0, c.cico[p.Rank], slot, n)
-			pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+			pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 		}
 		return
 	}
@@ -695,18 +695,18 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 	if p.Rank == root {
 		p.Copy(rbuf, 0, c.cico[p.Rank], slot, n)
 		proto.Announce(c.mem(p, pc), plan, view.cumBytes, uint64(n))
-		pc.mark(-1, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(-1, obs.PhaseChunkCopy, int64(n))
 	} else {
 		gs := plan.Pull.G
 		c.mem(p, pc).WaitGE(&plan.Pull, proto.Ready, view.cumBytes[pl]+uint64(n))
-		pc.markFrom(pl, obs.PhaseFlagWait, 0, c.W.Core(gs.leader))
+		pc.MarkFrom(pl, obs.PhaseFlagWait, 0, gs.leader)
 		src := c.cico[gs.leader]
 		p.Copy(rbuf, 0, src, slot, n)
 		if len(plan.Lead) > 0 {
 			p.Copy(c.cico[p.Rank], slot, src, slot, n)
 			proto.Announce(c.mem(p, pc), plan, view.cumBytes, uint64(n))
 		}
-		pc.mark(pl, obs.PhaseChunkCopy, int64(n))
+		pc.Mark(pl, obs.PhaseChunkCopy, int64(n))
 		c.recordPull(gs.leader, p.Rank, n)
 	}
 }
@@ -728,7 +728,7 @@ func (c *Comm) barrier(p *env.Proc) {
 	if p.Rank == 0 {
 		c.Ops++
 	}
-	pc := c.newPhaseClock(p, obs.OpBarrier, view.opSeq, 0, st.h.NLevels())
+	pc := c.clocks.Start(p.Rank, obs.OpBarrier, view.opSeq, 0, st.h.NLevels())
 	proto.Barrier(c.mem(p, pc), &st.plans[p.Rank], view.opSeq, view.cumBytes)
-	pc.finish()
+	pc.Finish()
 }

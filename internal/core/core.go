@@ -85,9 +85,9 @@ type Config struct {
 	// the legacy un-namespaced names byte-identical.
 	Tag string
 	// Chaos, when non-nil, enables deliberate protocol mutations for the
-	// verify harness's self-test (see ChaosConfig). Production code leaves
+	// verify harness's self-test (see proto.Chaos). Production code leaves
 	// it nil.
-	Chaos *ChaosConfig
+	Chaos *proto.Chaos
 }
 
 // DefaultConfig returns the paper's defaults on the numa+socket hierarchy.
@@ -125,29 +125,24 @@ type Comm struct {
 	// operation (Table II accounting).
 	OnPull func(from, to, bytes int)
 
-	// Trace records per-rank phase spans when the world is observed with
-	// tracing enabled; nil otherwise. Everything that consults it does so
-	// through nil-checked helpers (phaseClock), so the disabled path costs
-	// one pointer comparison per operation.
-	Trace *obs.Tracer
 	// obsPull mirrors OnPull for the observability registry. It is a
 	// separate hook so experiments that install their own OnPull collector
 	// after construction don't silence registry accounting (and vice versa).
 	obsPull func(from, to, bytes int)
-	// rec/obsClock/pcs back the always-on flight recorder: one pooled
-	// phaseClock per rank (each rank runs one op at a time) feeding the
-	// world's OpRecorder. All nil/empty when the world is unobserved.
-	rec      *obs.OpRecorder
-	obsClock func() int64
-	pcs      []phaseClock
+	// rec is the world's recorder and clocks the per-rank op clocks feeding
+	// it and the world's tracer (trace lanes are cores). Both nil when the
+	// world is unobserved, so the disabled path costs one pointer
+	// comparison per operation.
+	rec    *obs.OpRecorder
+	clocks *obs.Clocks
 
 	scratch []*mem.Buffer              // per-rank internal accumulators for Reduce
 	agFlags map[*commState][]*shm.Flag // allgather push-completion flags
 
-	// mems[r] is rank r's handle for the shared broadcast protocol
-	// (package proto); mut is the protocol's view of Chaos.
-	mems []rankMem
-	mut  proto.Mutants
+	// mems[r] is rank r's handle for the shared protocol (package proto);
+	// chaos is Cfg.Chaos, zero when nil.
+	mems  []rankMem
+	chaos proto.Chaos
 
 	// Non-blocking request machinery (request.go): one lane per rank
 	// holding the queue its helper proc drains, a per-rank staging buffer
@@ -212,13 +207,8 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 	c.fuseBuf = make([]*mem.Buffer, w.N)
 	c.fuseMax = cfg.CICOThreshold
 	c.mems = make([]rankMem, w.N)
-	if ch := cfg.Chaos; ch != nil {
-		c.mut = proto.Mutants{
-			EarlyReady:    ch.EarlyReady,
-			SkipAck:       ch.SkipAck,
-			AckRegression: ch.AckRegression,
-			FuseCorrupt:   ch.FuseCorrupt,
-		}
+	if cfg.Chaos != nil {
+		c.chaos = *cfg.Chaos
 	}
 	for r := 0; r < w.N; r++ {
 		c.mems[r].c = c
@@ -230,12 +220,14 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 		return nil, err
 	}
 	if w.Obs != nil {
-		c.Trace = w.Obs.Tracer
 		c.obsPull = w.Obs.RecordPull
 		c.rec = w.Obs.Rec
-		c.obsClock = w.Obs.Rec.Now
-		c.pcs = make([]phaseClock, w.N)
-		if c.chaos() != (ChaosConfig{}) {
+		lanes := make([]int, w.N)
+		for r := range lanes {
+			lanes[r] = w.Core(r)
+		}
+		c.clocks = obs.NewClocks(w.Obs.Tracer, w.Obs.Rec, w.N, lanes)
+		if c.chaos != (proto.Chaos{}) {
 			c.rec.CountFault(obs.FaultChaos)
 		}
 		w.OnObsFlush(func(wo *obs.World) {
@@ -455,7 +447,7 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 			// member's ack flag onto one shared line. Each flag keeps its
 			// single writer, so only the per-line write-tracker notices.
 			var ackLine *mem.Line
-			if c.chaos().SharedAckLine {
+			if c.chaos.SharedAckLine {
 				ackLine = c.W.Sys.NewLine(lc)
 			}
 			for _, m := range g.Members {

@@ -7,6 +7,7 @@ import (
 
 	"xhc/internal/env"
 	"xhc/internal/mem"
+	"xhc/internal/mpi"
 	"xhc/internal/topo"
 )
 
@@ -162,5 +163,36 @@ func TestMixedWithNewPrimitives(t *testing.T) {
 	}
 	if !bytes.Equal(out[7].Data, rootBuf.Data) {
 		t.Error("allgather after scatter did not reconstruct the root buffer")
+	}
+}
+
+// TestZeroByteOpsCounted: a zero-byte collective of every kind is still
+// one collective op, so Comm.Ops counts it once (on rank 0), exactly like
+// its non-empty form.
+func TestZeroByteOpsCounted(t *testing.T) {
+	ops := map[string]func(c *Comm, p *env.Proc, buf *mem.Buffer){
+		"bcast":     func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Bcast(p, b, 0, 0, 1) },
+		"allreduce": func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Allreduce(p, b, b, 0, mpi.Byte, mpi.Sum) },
+		"reduce":    func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Reduce(p, b, b, 0, mpi.Byte, mpi.Sum, 1) },
+		"barrier":   func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Barrier(p) },
+		"allgather": func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Allgather(p, b, b, 0) },
+		"scatter":   func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Scatter(p, b, b, 0, 1) },
+		"gather":    func(c *Comm, p *env.Proc, b *mem.Buffer) { c.Gather(p, b, b, 0, 1) },
+	}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			w := world(t, topo.Epyc1P(), 8)
+			c := MustNew(w, DefaultConfig())
+			if err := w.Run(func(p *env.Proc) {
+				b := p.NewBuffer("b", 8)
+				op(c, p, b)
+				op(c, p, b)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if c.Ops != 2 {
+				t.Errorf("Ops = %d after two zero-byte ops, want 2", c.Ops)
+			}
+		})
 	}
 }

@@ -149,9 +149,7 @@ func (c *Comm) issue(p *env.Proc, r *Request) *Request {
 	if c.rec != nil {
 		c.rec.NoteInflight(c.inflightCur)
 	}
-	if c.obsClock != nil {
-		r.issued = c.obsClock()
-	}
+	r.issued = c.clocks.Now()
 	lane.queue = append(lane.queue, r)
 	if !lane.active {
 		lane.active = true
@@ -266,12 +264,10 @@ func (c *Comm) nbHelper(p *env.Proc) {
 			return
 		}
 		r := lane.queue[lane.head]
-		if c.obsClock != nil {
-			r.svcStart = c.obsClock()
-		}
+		r.svcStart = c.clocks.Now()
 		if !r.fuse {
 			lane.head++
-			if !c.chaos().EarlyComplete {
+			if !c.chaos.EarlyComplete {
 				c.execReq(p, r)
 			}
 			c.completeReq(r)
@@ -328,33 +324,14 @@ func (c *Comm) execReq(p *env.Proc, r *Request) {
 // is released last so pending==0 proves the helper performs no further
 // shared-state activity for this request.
 func (c *Comm) completeReq(r *Request) {
-	if c.chaos().LostProgress {
+	if c.chaos.LostProgress {
 		// Mutation: drop the completion on the floor — the body ran, but
 		// Test never reports done and Wait suspends forever.
 		return
 	}
 	lane := &c.nb[r.rank]
 	lane.seq++
-	if c.rec != nil {
-		end := c.obsClock()
-		q := r.svcStart - r.issued
-		if q < 0 || r.svcStart == 0 {
-			q = 0
-		}
-		rec := obs.FlightRecord{
-			Seq: lane.seq, Start: r.issued, End: end,
-			Bytes: r.bytes, Lane: int32(r.rank), Op: obs.OpRequest,
-		}
-		rec.Phase[obs.PhaseQueueWait] = q
-		c.rec.RecordRequest(rec)
-		if c.Trace != nil {
-			core := c.W.Core(r.rank)
-			if q > 0 {
-				c.Trace.Record(core, -1, obs.PhaseQueueWait, "request", lane.seq, r.issued, r.issued+q, r.bytes)
-			}
-			c.Trace.Record(core, -1, obs.PhaseCollective, "request", lane.seq, r.issued, end, r.bytes)
-		}
-	}
+	c.clocks.Request(r.rank, lane.seq, r.issued, r.svcStart, r.bytes)
 	r.done = true
 	if len(r.waiters) > 0 {
 		eng := c.W.Sys.Eng
@@ -372,7 +349,7 @@ func (c *Comm) completeReq(r *Request) {
 // fused hierarchy traversal (proto.Fused), with this backend's op
 // accounting around it.
 func (c *Comm) execFused(p *env.Proc, batch []*Request) {
-	if c.chaos().EarlyComplete {
+	if c.chaos.EarlyComplete {
 		// Mutation: complete the whole batch without moving a byte (and
 		// without touching any counter — uniform across ranks, so nothing
 		// hangs; byte-exactness sees the stale payloads).
@@ -393,13 +370,13 @@ func (c *Comm) execFused(p *env.Proc, batch []*Request) {
 			c.rec.CountFusedBatch(k, int64(k)*int64(n))
 		}
 	}
-	pc := c.newPhaseClock(p, obs.OpBcast, view.opSeq, int64(k)*int64(n), st.h.NLevels())
+	pc := c.clocks.Start(p.Rank, obs.OpBcast, view.opSeq, int64(k)*int64(n), st.h.NLevels())
 	subs := c.nb[p.Rank].subs[:k]
 	for i, r := range batch {
 		subs[i] = proto.Sub[*mem.Buffer]{Buf: r.buf, Off: r.off}
 	}
 	proto.Fused(c.mem(p, pc), &st.plans[p.Rank], first, view.cumBytes, subs, n)
-	pc.finish()
+	pc.Finish()
 	for i, r := range batch {
 		subs[i].Buf = nil
 		c.completeReq(r)

@@ -229,3 +229,42 @@ func TestMixedNewCollectives(t *testing.T) {
 		}
 	}
 }
+
+// TestScatterRepeatedCICO runs back-to-back small scatters (the CICO path:
+// all N blocks fit one CICO slot) with fresh data and a moving root every
+// op, so a block read from the wrong slot or before the root's copy-in
+// shows as stale bytes. A large scatter in between moves the exposure
+// path through the same top-group counters.
+func TestScatterRepeatedCICO(t *testing.T) {
+	const n, small, large = 9, 16, 4096
+	c := MustNew(n, Config{GroupSize: 3})
+	in := make([]byte, large*n)
+	out := make([][]byte, n)
+	for r := range out {
+		out[r] = make([]byte, large)
+	}
+	for it := 0; it < 12; it++ {
+		root := it % n
+		blk := small
+		if it%4 == 3 {
+			blk = large
+		}
+		for i := range in[:blk*n] {
+			in[i] = byte(i*5 + it*31)
+		}
+		runAll(n, func(rank int) {
+			var src []byte
+			if rank == root {
+				src = in[:blk*n]
+			}
+			c.Scatter(rank, src, out[rank][:blk], root)
+		})
+		for r := range out {
+			for i := 0; i < blk; i++ {
+				if want := byte((r*blk+i)*5 + it*31); out[r][i] != want {
+					t.Fatalf("op %d (block %d, root %d): rank %d byte %d = %d, want %d", it, blk, root, r, i, out[r][i], want)
+				}
+			}
+		}
+	}
+}

@@ -140,9 +140,7 @@ func (c *Comm) issue(r *Request) *Request {
 	if c.rec != nil {
 		c.rec.NoteInflight(cur)
 	}
-	if c.clk != nil {
-		r.issued = c.clk()
-	}
+	r.issued = c.clocks.Now()
 	if !w.started {
 		w.started = true
 		go c.nbWorker(r.rank)
@@ -322,11 +320,9 @@ func (c *Comm) nbWorker(rank int) {
 		if r == nil {
 			return
 		}
-		if c.clk != nil {
-			r.svcStart = c.clk()
-		}
+		r.svcStart = c.clocks.Now()
 		if !r.fuse {
-			if c.cfg.Chaos == nil || !c.cfg.Chaos.EarlyComplete {
+			if !c.chaos.EarlyComplete {
 				c.execReq(r)
 			}
 			c.completeReq(r)
@@ -394,32 +390,14 @@ func (c *Comm) execReq(r *Request) {
 // in that order, so pending reaching zero proves the worker is idle and
 // the view counters are safe for an inline blocking call.
 func (c *Comm) completeReq(r *Request) {
-	if c.cfg.Chaos != nil && c.cfg.Chaos.LostProgress {
+	if c.chaos.LostProgress {
 		// Mutation: the op ran but its completion is dropped — Test never
 		// reports done and Wait blocks forever.
 		return
 	}
 	w := &c.nb[r.rank]
 	w.seq++
-	if c.rec != nil {
-		end := c.clk()
-		q := r.svcStart - r.issued
-		if q < 0 || r.svcStart == 0 {
-			q = 0
-		}
-		rec := obs.FlightRecord{
-			Seq: w.seq, Start: r.issued, End: end, Bytes: r.bytes,
-			Lane: int32(r.rank), Op: obs.OpRequest,
-		}
-		rec.Phase[obs.PhaseQueueWait] = q
-		c.rec.RecordRequest(rec)
-		if c.trace != nil {
-			if q > 0 {
-				c.trace.Record(r.rank, -1, obs.PhaseQueueWait, "request", w.seq, r.issued, r.issued+q, r.bytes)
-			}
-			c.trace.Record(r.rank, -1, obs.PhaseCollective, "request", w.seq, r.issued, end, r.bytes)
-		}
-	}
+	c.clocks.Request(r.rank, w.seq, r.issued, r.svcStart, r.bytes)
 	r.done.Store(1)
 	if r.parked.Load() != 0 {
 		select {
@@ -435,7 +413,7 @@ func (c *Comm) completeReq(r *Request) {
 // fused hierarchy traversal (proto.Fused), with this backend's op
 // accounting around it.
 func (c *Comm) execFused(rank int, batch []*Request) {
-	if c.cfg.Chaos != nil && c.cfg.Chaos.EarlyComplete {
+	if c.chaos.EarlyComplete {
 		for _, r := range batch {
 			c.completeReq(r)
 		}
@@ -454,14 +432,14 @@ func (c *Comm) execFused(rank int, batch []*Request) {
 	if rank == 0 && c.rec != nil {
 		c.rec.CountFusedBatch(k, int64(k)*int64(n))
 	}
-	wc := c.newWallClock(rank, obs.OpBcast, v.opSeq, int64(k*n), st.h.NLevels())
+	wc := c.clocks.Start(rank, obs.OpBcast, v.opSeq, int64(k*n), st.h.NLevels())
 	w := &c.nb[rank]
 	subs := w.subs[:k]
 	for i, r := range batch {
 		subs[i] = proto.Sub[[]byte]{Buf: r.buf}
 	}
 	proto.Fused(c.mem(rank, wc, n), &st.plans[rank].Plan, first, v.cum[:], subs, n)
-	wc.finish()
+	wc.Finish()
 	for i, r := range batch {
 		subs[i].Buf = nil
 		c.completeReq(r)

@@ -304,8 +304,8 @@ func (r *OpRecorder) FlushDetector() {
 // CritTicks returns the recorder's critical-path state in clock ticks:
 // per-edge blame, the summed critical-lane latency of every closed step,
 // and the number of steps. The intra-node edges' blame sums exactly to
-// total in virtual-time worlds (the segment clock partitions each op);
-// queue-wait and net edges are overlay attributions on top of it.
+// total on both backends (OpClock partitions each op); queue-wait and
+// net edges are overlay attributions on top of it.
 func (r *OpRecorder) CritTicks() (blame [NEdges]int64, total int64, ops int64) {
 	r.crit.mu.Lock()
 	defer r.crit.mu.Unlock()
@@ -454,10 +454,9 @@ func (c *critAccum) flush(r *OpRecorder) {
 }
 
 // close attributes the buffered step's critical lane. Caller holds c.mu.
-// In virtual-time worlds the segment clock partitions the critical
-// record's duration across its phases, so the step's blame increments
-// sum exactly to its critical-lane latency — the invariant the pinned
-// blame-sum test asserts.
+// OpClock partitions the critical record's duration across its phases,
+// so the step's blame increments sum exactly to its critical-lane
+// latency — the invariant the pinned blame-sum tests assert.
 func (c *critAccum) close(r *OpRecorder) {
 	n := len(c.ends)
 	if !c.open || n == 0 {

@@ -89,38 +89,48 @@ func (f *Flag) WaitGE(p *sim.Proc, core int, v uint64) uint64 {
 // memory-level parallelism) instead of one serialized miss per flag, and
 // parks on all pending lines at once when some flags lag.
 func WaitAllGE(p *sim.Proc, core int, flags []*Flag, v uint64) {
-	targets := make([]uint64, len(flags))
-	for i := range targets {
-		targets[i] = v
-	}
-	WaitAllTargets(p, core, flags, targets)
+	waitAll(p, core, flags, nil, v)
 }
 
 // WaitAllTargets blocks until flags[i] >= targets[i] for every i, with the
 // same overlapped-fetch gather as WaitAllGE.
 func WaitAllTargets(p *sim.Proc, core int, flags []*Flag, targets []uint64) {
-	if len(flags) == 0 {
-		return
-	}
 	if len(flags) != len(targets) {
 		panic("shm: flags/targets length mismatch")
+	}
+	waitAll(p, core, flags, targets, 0)
+}
+
+// waitAll is the gather behind WaitAllGE and WaitAllTargets: flag i must
+// reach targets[i], or v when targets is nil. Each round reads the pending
+// lines in one batch and keeps the laggards in place, in order; up to
+// waitInline flags, the pending set and the line list live on the stack,
+// so a gather allocates nothing.
+func waitAll(p *sim.Proc, core int, flags []*Flag, targets []uint64, v uint64) {
+	if len(flags) == 0 {
+		return
 	}
 	sys := flags[0].sys
 	type pf struct {
 		f *Flag
 		v uint64
 	}
-	pending := make([]pf, len(flags))
-	for i := range flags {
-		pending[i] = pf{flags[i], targets[i]}
+	var pbuf [waitInline]pf
+	var lbuf [waitInline]*mem.Line
+	pending, lines := pbuf[:0], lbuf[:0]
+	for i, f := range flags {
+		if targets != nil {
+			v = targets[i]
+		}
+		pending = append(pending, pf{f, v})
 	}
 	for {
-		lines := make([]*mem.Line, len(pending))
-		for i, x := range pending {
-			lines[i] = x.f.line
+		lines = lines[:0]
+		for _, x := range pending {
+			lines = append(lines, x.f.line)
 		}
 		sys.ReadBatch(p, core, lines)
-		var still []pf
+		still := pending[:0]
 		for _, x := range pending {
 			if x.f.val < x.v {
 				still = append(still, x)
@@ -138,6 +148,9 @@ func WaitAllTargets(p *sim.Proc, core int, flags []*Flag, targets []uint64) {
 		p.Suspend(fmt.Sprintf("wait %d flags (first: %s >= %d)", len(pending), pending[0].f.Name, pending[0].v))
 	}
 }
+
+// waitInline is how many flags a gather holds on the stack.
+const waitInline = 16
 
 // AtomicFlag is a fetch-add-updated counter, as used by OpenMPI's sm
 // component. Any core may update it; every update is an atomic RMW that

@@ -181,3 +181,32 @@ func TestSharedLineFalseSharing(t *testing.T) {
 		t.Errorf("false sharing should make re-read costly: %v vs %v", cheap, costly)
 	}
 }
+
+// TestWaitAllZeroAllocs pins the gather's allocation count: with every
+// flag already at its target, WaitAllGE and WaitAllTargets over up to
+// waitInline flags allocate nothing (the pending set and line list stay
+// on the stack), so leader ack collection costs no garbage per op.
+func TestWaitAllZeroAllocs(t *testing.T) {
+	s := mem.Default(topo.Epyc1P())
+	flags := make([]*Flag, waitInline)
+	targets := make([]uint64, len(flags))
+	for i := range flags {
+		flags[i] = NewFlag(s, fmt.Sprintf("f%d", i), i)
+		targets[i] = uint64(i + 1)
+	}
+	for i, f := range flags {
+		s.Eng.Go(fmt.Sprintf("owner%d", i), func(p *sim.Proc) { f.Set(p, i, uint64(i+1)) })
+	}
+	var ge, tg float64
+	s.Eng.Go("leader", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond)
+		ge = testing.AllocsPerRun(50, func() { WaitAllGE(p, 0, flags, 1) })
+		tg = testing.AllocsPerRun(50, func() { WaitAllTargets(p, 0, flags, targets) })
+	})
+	if err := s.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ge != 0 || tg != 0 {
+		t.Errorf("allocs per gather: WaitAllGE %v, WaitAllTargets %v; want 0", ge, tg)
+	}
+}

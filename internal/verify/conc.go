@@ -9,6 +9,7 @@ import (
 	"xhc/internal/gxhc"
 	"xhc/internal/mem"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
 	"xhc/internal/topo"
 )
@@ -328,7 +329,7 @@ func checkConcData(c Case, what string, round int, ins, outs [][][]*mem.Buffer) 
 // loops bounded by a wall-clock deadline (the real-time stand-in for the
 // simulator's deadlock detector — a lost completion times every rank
 // out).
-func runConcGxhc(c Case, chaos *gxhc.ChaosConfig, reg *obs.Registry, deadline time.Duration) error {
+func runConcGxhc(c Case, chaos *proto.Chaos, reg *obs.Registry, deadline time.Duration) error {
 	cc := c.Conc
 	what := "gxhc-conc"
 	gcfg := gxhc.Config{

@@ -11,6 +11,7 @@ import (
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
 	"xhc/internal/obs"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
 )
 
@@ -45,7 +46,7 @@ func gxhcOp(c Case) (gxhc.ReduceOp, bool) {
 // The parking waiter's output is compared byte-exactly against the pure
 // deterministic reference, so a waiter bug (missed wakeup, premature
 // release) surfaces as a replayable verify failure.
-func runGoComm(c Case, s Schedule, chaos *gxhc.ChaosConfig, reg *obs.Registry) error {
+func runGoComm(c Case, s Schedule, chaos *proto.Chaos, reg *obs.Registry) error {
 	if c.Kind == KindAllreduce || c.Kind == KindReduce {
 		if _, ok := gxhcOp(c); !ok {
 			return nil

@@ -6,8 +6,8 @@ import (
 	"xhc/internal/coll"
 	"xhc/internal/core"
 	"xhc/internal/env"
-	"xhc/internal/gxhc"
 	"xhc/internal/mpi"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
 )
 
@@ -63,7 +63,7 @@ func concMutationCase() Case {
 // runConcMutant runs the concurrency phase with the given seeded bug under
 // the plain FIFO schedule (deterministic batching, so the fused path the
 // mutants target is guaranteed to form).
-func runConcMutant(c Case, chaos *core.ChaosConfig) error {
+func runConcMutant(c Case, chaos *proto.Chaos) error {
 	c.Chaos = chaos
 	return runConcSim(c, Schedule{}, nil)
 }
@@ -78,13 +78,13 @@ func faultSchedule() Schedule {
 // runMutant runs the base case with the given seeded bug under the plain
 // FIFO schedule (the mutants are constructed to be caught without needing
 // schedule luck).
-func runMutant(c Case, chaos *core.ChaosConfig) error {
+func runMutant(c Case, chaos *proto.Chaos) error {
 	return runMutantSched(c, chaos, Schedule{})
 }
 
 // runMutantSched is runMutant under an explicit schedule, for the mutants
 // whose detection needs a straggler or jitter to open the window.
-func runMutantSched(c Case, chaos *core.ChaosConfig, s Schedule) error {
+func runMutantSched(c Case, chaos *proto.Chaos, s Schedule) error {
 	c.Chaos = chaos
 	cfg, err := c.coreConfig()
 	if err != nil {
@@ -137,7 +137,7 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	record("clean/faults", false, err)
 
 	// Termination: pure members never ack, leaders deadlock.
-	record("skip-ack", true, runMutant(base, &core.ChaosConfig{SkipAck: true}))
+	record("skip-ack", true, runMutant(base, &proto.Chaos{SkipAck: true}))
 
 	// Data: a forwarding leader announces its staged CICO copy before
 	// performing it; its children pull the previous slot contents. The
@@ -146,13 +146,13 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	early := base
 	early.Bytes = 2 << 10
 	early.CICOThreshold = 4 << 10
-	record("early-ready", true, runMutant(early, &core.ChaosConfig{EarlyReady: true}))
+	record("early-ready", true, runMutant(early, &proto.Chaos{EarlyReady: true}))
 
 	// Single-writer line discipline: member acks packed onto one line.
-	record("shared-ack-line", true, runMutant(base, &core.ChaosConfig{SharedAckLine: true}))
+	record("shared-ack-line", true, runMutant(base, &proto.Chaos{SharedAckLine: true}))
 
 	// Monotonicity: a rewound ack counter; shm's own defense fires.
-	record("ack-regression", true, runMutant(base, &core.ChaosConfig{AckRegression: true}))
+	record("ack-regression", true, runMutant(base, &proto.Chaos{AckRegression: true}))
 
 	// The newer collectives, each with a clean control plus seeded bugs.
 	barrier := base
@@ -161,23 +161,23 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	record("barrier/clean", false, runMutantSched(barrier, nil, faultSchedule()))
 	// Termination: a pure member never signals arrival; its leader's gather
 	// hangs.
-	record("barrier/skip-ack", true, runMutant(barrier, &core.ChaosConfig{SkipAck: true}))
+	record("barrier/skip-ack", true, runMutant(barrier, &proto.Chaos{SkipAck: true}))
 	// Ordering: the release fires before the arrivals are gathered; under
 	// the straggler schedule some rank exits while another's stamp is stale.
-	record("barrier/early-ready", true, runMutantSched(barrier, &core.ChaosConfig{EarlyReady: true}, faultSchedule()))
+	record("barrier/early-ready", true, runMutantSched(barrier, &proto.Chaos{EarlyReady: true}, faultSchedule()))
 
 	scatter := base
 	scatter.Kind = KindScatter
 	record("scatter/clean", false, runMutant(scatter, nil))
 	// Termination: the subtree-ordered ack chain toward the root breaks.
-	record("scatter/skip-ack", true, runMutant(scatter, &core.ChaosConfig{SkipAck: true}))
+	record("scatter/skip-ack", true, runMutant(scatter, &proto.Chaos{SkipAck: true}))
 	// Data: the CICO root announces its staged blocks before the copy-in
 	// lands; children drain the previous slot. Sized onto the CICO path
 	// (blockLen <= threshold and N blocks fit in half the CICO buffer).
 	scatterCICO := scatter
 	scatterCICO.Bytes = 512
 	scatterCICO.CICOThreshold = 8 << 10
-	record("scatter/early-ready", true, runMutant(scatterCICO, &core.ChaosConfig{EarlyReady: true}))
+	record("scatter/early-ready", true, runMutant(scatterCICO, &proto.Chaos{EarlyReady: true}))
 
 	// Data: a reducer publishes its whole reduce_done slice before folding
 	// anything; the root drains unreduced bytes.
@@ -185,7 +185,7 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	reduce.Kind = KindReduce
 	reduce.Root = 3
 	record("reduce/clean", false, runMutant(reduce, nil))
-	record("reduce/early-ready", true, runMutant(reduce, &core.ChaosConfig{EarlyReady: true}))
+	record("reduce/early-ready", true, runMutant(reduce, &proto.Chaos{EarlyReady: true}))
 
 	// Data: a rank publishes its CICO push before staging its block; peers
 	// assemble the previous op's slot contents. Under FIFO every rank's own
@@ -196,7 +196,7 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	allgather.Kind = KindAllgather
 	allgather.Bytes = 512
 	record("allgather/clean", false, runMutantSched(allgather, nil, faultSchedule()))
-	record("allgather/early-ready", true, runMutantSched(allgather, &core.ChaosConfig{EarlyReady: true}, faultSchedule()))
+	record("allgather/early-ready", true, runMutantSched(allgather, &proto.Chaos{EarlyReady: true}, faultSchedule()))
 
 	// The non-blocking concurrency runner (DESIGN.md §15): a clean control,
 	// then the three request-layer mutants on the simulated backend. The
@@ -206,20 +206,20 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	// Termination: the worker runs the op but drops its completion; Wait
 	// suspends forever and the deadlock detector converts it.
 	record("iconc/clean", false, runConcMutant(conc, nil))
-	record("iconc/lost-progress", true, runConcMutant(conc, &core.ChaosConfig{LostProgress: true}))
+	record("iconc/lost-progress", true, runConcMutant(conc, &proto.Chaos{LostProgress: true}))
 	// Data: completion published without running the body; the per-request
 	// byte check sees the junk pre-fill.
-	record("iconc/early-complete", true, runConcMutant(conc, &core.ChaosConfig{EarlyComplete: true}))
+	record("iconc/early-complete", true, runConcMutant(conc, &proto.Chaos{EarlyComplete: true}))
 	// Data: the fused root stages sub-ops into swapped batch slots.
-	record("iconc/fuse-corrupt", true, runConcMutant(conc, &core.ChaosConfig{FuseCorrupt: true}))
+	record("iconc/fuse-corrupt", true, runConcMutant(conc, &proto.Chaos{FuseCorrupt: true}))
 
 	// The same three on the real-concurrency backend. None of them injects
 	// a data race (unlike StaleReady), so they run under the race detector
 	// too; lost progress is caught by the wall-clock Test deadline.
 	record("goconc/clean", false, runConcGxhc(conc, nil, nil, concCleanDeadline))
-	record("goconc/lost-progress", true, runConcGxhc(conc, &gxhc.ChaosConfig{LostProgress: true}, nil, concMutantDeadline))
-	record("goconc/early-complete", true, runConcGxhc(conc, &gxhc.ChaosConfig{EarlyComplete: true}, nil, concCleanDeadline))
-	record("goconc/fuse-corrupt", true, runConcGxhc(conc, &gxhc.ChaosConfig{FuseCorrupt: true}, nil, concCleanDeadline))
+	record("goconc/lost-progress", true, runConcGxhc(conc, &proto.Chaos{LostProgress: true}, nil, concMutantDeadline))
+	record("goconc/early-complete", true, runConcGxhc(conc, &proto.Chaos{EarlyComplete: true}, nil, concCleanDeadline))
+	record("goconc/fuse-corrupt", true, runConcGxhc(conc, &proto.Chaos{FuseCorrupt: true}, nil, concCleanDeadline))
 
 	// Data: every top-group reducer of a gxhc allreduce takes the
 	// sole-reducer shortcut (no wait on the top leader's ready, no copy of
@@ -238,7 +238,7 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 	srp.Bytes = 64 << 10
 	srp.Ops = 1
 	record("gocomm/allreduce-clean", false, runGoComm(srp, Schedule{}, nil, nil))
-	record("gocomm/skip-result-pull", true, runGoComm(srp, Schedule{}, &gxhc.ChaosConfig{SkipResultPull: true}, nil))
+	record("gocomm/skip-result-pull", true, runGoComm(srp, Schedule{}, &proto.Chaos{SkipResultPull: true}, nil))
 
 	if includeGoComm {
 		gc := base
@@ -247,7 +247,7 @@ func RunMutationSelfTest(includeGoComm bool) []MutationOutcome {
 		gc.Bytes = 64 << 10
 		fs := faultSchedule() // the straggling root is what exposes the mutant
 		record("gocomm/clean", false, runGoComm(gc, fs, nil, nil))
-		record("gocomm/stale-ready", true, runGoComm(gc, fs, &gxhc.ChaosConfig{StaleReady: true}, nil))
+		record("gocomm/stale-ready", true, runGoComm(gc, fs, &proto.Chaos{StaleReady: true}, nil))
 	}
 	return out
 }

@@ -19,6 +19,7 @@ import (
 	"xhc/internal/core"
 	"xhc/internal/hier"
 	"xhc/internal/mpi"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
 	"xhc/internal/topo"
 )
@@ -102,7 +103,7 @@ type Case struct {
 
 	// Chaos carries a seeded protocol bug for the mutation self-test;
 	// nil during normal exploration.
-	Chaos *core.ChaosConfig
+	Chaos *proto.Chaos
 
 	// Conc, when non-nil, adds a concurrency phase to the run: several
 	// communicators with overlapping rank sets progressing non-blocking
