@@ -20,26 +20,33 @@ import (
 // internal root (rank 0), overlapped with a pipelined broadcast of the
 // result.
 func (c *Comm) Allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqAllreduce, sbuf, rbuf, 0, n, 0, dt, op))
-		return
+	if !c.queued(p, proto.KindAllreduce, sbuf, rbuf, 0, n, 0, dt, op) {
+		c.allreduce(p, sbuf, rbuf, n, dt, op, true, 0)
 	}
-	c.allreduce(p, sbuf, rbuf, n, dt, op, true, 0)
 }
 
 // Reduce reduces into root's rbuf only (the paper's "ongoing work"
 // primitive). Non-root ranks' rbuf arguments are ignored; internal scratch
 // accumulators are used at non-root leaders.
 func (c *Comm) Reduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, root int) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqReduce, sbuf, rbuf, 0, n, root, dt, op))
-		return
+	if !c.queued(p, proto.KindReduce, sbuf, rbuf, 0, n, root, dt, op) {
+		c.allreduce(p, sbuf, rbuf, n, dt, op, false, root)
 	}
-	c.allreduce(p, sbuf, rbuf, n, dt, op, false, root)
+}
+
+// reduceCheck rejects buffers too short for n bytes: sbuf on every rank,
+// rbuf on every rank of an allreduce and on a reduce's root. It runs
+// before the op touches a flag, so the offending rank fails, not a peer
+// that copies from its buffer.
+func (c *Comm) reduceCheck(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, bcast bool, root int) {
+	sizeCheck(sbuf, 0, n)
+	if bcast || p.Rank == root {
+		sizeCheck(rbuf, 0, n)
+	}
 }
 
 func (c *Comm) allreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, bcast bool, root int) {
-	sizeCheck(sbuf, 0, n)
+	c.reduceCheck(p, sbuf, rbuf, n, bcast, root)
 	es := dt.Size()
 	if n%es != 0 {
 		panic(fmt.Sprintf("core: allreduce size %d not a multiple of %s", n, dt))
@@ -714,11 +721,9 @@ func (c *Comm) cicoAllreduce(p *env.Proc, st *commState, view *rankView, sbuf, a
 // Barrier synchronizes all ranks hierarchically: arrival propagates up via
 // the ack flags, release propagates down via the ready counters.
 func (c *Comm) Barrier(p *env.Proc) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqBarrier, nil, nil, 0, 0, 0, 0, 0))
-		return
+	if !c.queued(p, proto.KindBarrier, nil, nil, 0, 0, 0, 0, 0) {
+		c.barrier(p)
 	}
-	c.barrier(p)
 }
 
 func (c *Comm) barrier(p *env.Proc) {

@@ -18,11 +18,9 @@ import (
 // While non-blocking requests are outstanding on this rank, the call is
 // diverted through the request queue to run in issue order behind them.
 func (c *Comm) Bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqBcast, buf, nil, off, n, root, 0, 0))
-		return
+	if !c.queued(p, proto.KindBcast, buf, nil, off, n, root, 0, 0) {
+		c.bcast(p, buf, off, n, root)
 	}
-	c.bcast(p, buf, off, n, root)
 }
 
 func (c *Comm) bcast(p *env.Proc, buf *mem.Buffer, off, n, root int) {
@@ -126,7 +124,7 @@ func (m *rankMem) Chunk(level int) int { return m.c.chunkAt(level) }
 func (m *rankMem) FuseStage(int) *mem.Buffer {
 	c, r := m.c, m.p.Rank
 	if c.fuseBuf[r] == nil {
-		c.fuseBuf[r] = c.W.NewBufferAt(c.name("fuse.%d", r), r, maxFuseBatch*c.fuseMax)
+		c.fuseBuf[r] = c.W.NewBufferAt(c.name("fuse.%d", r), r, proto.MaxFuseBatch*c.Cfg.CICOThreshold)
 	}
 	return c.fuseBuf[r]
 }

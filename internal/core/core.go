@@ -8,10 +8,15 @@
 //   - a copy-in-copy-out shared-memory path below the threshold;
 //   - pipelining with per-level configurable chunk sizes;
 //   - single-writer/multiple-reader synchronization flags (no atomics).
+//
+// The broadcast family, Scatter and the non-blocking request lane are
+// package proto's, shared with gxhc; core supplies the simulated machine
+// layer (rankMem) and its half of the lane (request.go).
 package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"xhc/internal/env"
 	"xhc/internal/hier"
@@ -129,11 +134,9 @@ type Comm struct {
 	// separate hook so experiments that install their own OnPull collector
 	// after construction don't silence registry accounting (and vice versa).
 	obsPull func(from, to, bytes int)
-	// rec is the world's recorder and clocks the per-rank op clocks feeding
-	// it and the world's tracer (trace lanes are cores). Both nil when the
-	// world is unobserved, so the disabled path costs one pointer
-	// comparison per operation.
-	rec    *obs.OpRecorder
+	// clocks holds the per-rank op clocks feeding the world's recorder and
+	// tracer (trace lanes are cores). Nil when the world is unobserved, so
+	// the disabled path costs one pointer comparison per operation.
 	clocks *obs.Clocks
 
 	scratch []*mem.Buffer              // per-rank internal accumulators for Reduce
@@ -146,14 +149,11 @@ type Comm struct {
 
 	// Non-blocking request machinery (request.go): one lane per rank
 	// holding the queue its helper proc drains, a per-rank staging buffer
-	// for fused small-op batches, and the fusion size cap (CICOThreshold),
-	// which also sizes those buffers.
-	nb      []nbRank
-	fuseBuf []*mem.Buffer
-	fuseMax int
-	// inflightCur counts this comm's currently outstanding requests
-	// (plain: the simulation is cooperative).
-	inflightCur int64
+	// for fused small-op batches (sized by the fusion cap, CICOThreshold),
+	// and the comm's count of outstanding requests.
+	nb       []nbRank
+	fuseBuf  []*mem.Buffer
+	inflight atomic.Int64
 
 	// Ops counts completed collective operations.
 	Ops int64
@@ -205,12 +205,12 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 	c.scratch = make([]*mem.Buffer, w.N)
 	c.nb = make([]nbRank, w.N)
 	c.fuseBuf = make([]*mem.Buffer, w.N)
-	c.fuseMax = cfg.CICOThreshold
 	c.mems = make([]rankMem, w.N)
 	if cfg.Chaos != nil {
 		c.chaos = *cfg.Chaos
 	}
 	for r := 0; r < w.N; r++ {
+		c.nb[r].Init(r, cfg.CICOThreshold, &c.chaos, &c.inflight)
 		c.mems[r].c = c
 		c.caches[r] = xpmem.NewCache(w.Sys, 0, cfg.RegCache)
 		c.cico[r] = w.NewBufferAt(c.name("cico.%d", r), r, cfg.CICOBytes)
@@ -221,14 +221,13 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 	}
 	if w.Obs != nil {
 		c.obsPull = w.Obs.RecordPull
-		c.rec = w.Obs.Rec
 		lanes := make([]int, w.N)
 		for r := range lanes {
 			lanes[r] = w.Core(r)
 		}
 		c.clocks = obs.NewClocks(w.Obs.Tracer, w.Obs.Rec, w.N, lanes)
 		if c.chaos != (proto.Chaos{}) {
-			c.rec.CountFault(obs.FaultChaos)
+			w.Obs.Rec.CountFault(obs.FaultChaos)
 		}
 		w.OnObsFlush(func(wo *obs.World) {
 			for _, ca := range c.caches {

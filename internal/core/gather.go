@@ -23,11 +23,9 @@ import (
 // still distance-aware via the memory model. Small blocks go through the
 // root's CICO buffer instead.
 func (c *Comm) Scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, root int) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqScatter, buf, out, 0, blockLen, root, 0, 0))
-		return
+	if !c.queued(p, proto.KindScatter, buf, out, 0, blockLen, root, 0, 0) {
+		c.scatter(p, buf, out, blockLen, root)
 	}
-	c.scatter(p, buf, out, blockLen, root)
 }
 
 func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, root int) {
@@ -54,11 +52,9 @@ func (c *Comm) scatter(p *env.Proc, buf *mem.Buffer, out *mem.Buffer, blockLen, 
 // root exposes its receive buffer, every rank attaches and writes its own
 // disjoint block directly — the inverse of the broadcast pull.
 func (c *Comm) Gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, root int) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqGather, in, buf, 0, blockLen, root, 0, 0))
-		return
+	if !c.queued(p, proto.KindGather, in, buf, 0, blockLen, root, 0, 0) {
+		c.gather(p, in, buf, blockLen, root)
 	}
-	c.gather(p, in, buf, blockLen, root)
 }
 
 func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, root int) {
@@ -106,11 +102,9 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 // gathered into the leaders' buffers level by level, then the assembled
 // result is broadcast back down with the pipelined broadcast.
 func (c *Comm) Allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen int) {
-	if c.nbGated(p.Rank) {
-		c.issueBlocking(p, c.buildReq(p.Rank, reqAllgather, in, out, 0, blockLen, 0, 0, 0))
-		return
+	if !c.queued(p, proto.KindAllgather, in, out, 0, blockLen, 0, 0, 0) {
+		c.allgather(p, in, out, blockLen)
 	}
-	c.allgather(p, in, out, blockLen)
 }
 
 func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen int) {

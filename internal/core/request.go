@@ -11,43 +11,19 @@ import (
 	"xhc/internal/sim"
 )
 
-// Non-blocking collectives over the simulated backend. Each rank owns a
-// request lane: Icollective calls append a Request to the lane's queue and
-// (lazily) spawn a helper process on the same core that drains the queue in
-// issue order, executing the normal blocking bodies. Progress is therefore
-// genuinely asynchronous in virtual time — the issuing rank computes on
-// while its helper moves bytes — and the engine's schedule exploration
-// interleaves helpers of different ranks and different communicators.
-//
-// Same-shape small broadcasts (n <= CICOThreshold, same root) queued
-// back-to-back are fused: the helper pops a whole prefix and runs one
-// hierarchy traversal that carries every sub-op in a per-rank staging
-// buffer (proto.Fused). Fusability is decided per request from
-// rank-uniform facts only (kind, size, root, the comm's threshold), so all
-// ranks agree on each op's protocol even when their batch boundaries end
-// up ragged.
-
-// maxFuseBatch caps how many same-shape small broadcasts one hierarchy
-// traversal carries (and sizes the per-rank staging buffer).
-const maxFuseBatch = 8
+// Non-blocking collectives over the simulated backend: the simulator's
+// half of package proto's request lane (proto.Lane, proto.Drain). An
+// I-call appends a request to the rank's queue and, when the lane is idle,
+// spawns a helper process on the rank's core that drains it and exits when
+// it runs dry. Progress is genuinely asynchronous in virtual time, and the
+// engine's schedule exploration interleaves the helpers of different ranks
+// and communicators. Test polls with a virtual-time backoff; Wait
+// suspends the proc until the helper wakes it.
 
 // testPoll is the virtual-time backoff Test takes when the request is not
 // yet done: a pure re-check would never return control to the engine, so
 // Test always advances the clock enough for helpers to run.
 const testPoll = 100 * sim.Nanosecond
-
-// reqKind dispatches a queued request to its blocking body.
-type reqKind uint8
-
-const (
-	reqBcast reqKind = iota
-	reqAllreduce
-	reqReduce
-	reqBarrier
-	reqAllgather
-	reqScatter
-	reqGather
-)
 
 // Request is a handle on one outstanding non-blocking collective. It is
 // owned by the issuing rank: only that rank may Test/Wait it, and a
@@ -56,176 +32,119 @@ const (
 // touched again). Done is the non-consuming peek for harness code that
 // checks completion ordering across several live requests.
 type Request struct {
+	proto.Req
 	c    *Comm
 	rank int
-	kind reqKind
-	fuse bool
 
 	buf  *mem.Buffer // primary buffer (bcast buf / sbuf / in)
 	buf2 *mem.Buffer // secondary buffer (rbuf / out)
 	off  int
-	n    int // payload bytes (block bytes for the v-collectives)
-	root int
 	dt   mpi.Datatype
 	op   mpi.Op
 
-	issued   int64 // obs clock at issue (0 when unobserved)
-	svcStart int64 // obs clock when the helper popped it (service start)
-	bytes    int64
-
-	done    bool
-	waiters []reqWaiter
-	next    *Request // freelist link
+	waiters []sim.Waiter // procs suspended in Wait
 }
 
-// reqWaiter is a proc suspended in Wait, with the token that arms its wake.
-type reqWaiter struct {
-	p     *sim.Proc
-	token uint64
-}
-
-// nbRank is one rank's non-blocking lane. All fields are plain: the
-// simulation is cooperative, and the issue-order gate below guarantees the
-// app proc and the helper proc never race on them.
+// nbRank is one rank's lane (the simulation is cooperative: no races).
 type nbRank struct {
-	queue   []*Request
-	head    int
-	active  bool // a helper proc is draining the queue
-	pending int  // issued but not completed
-	seq     uint64
-	free    *Request
-	// subs holds the sub-op buffers of the batch being fused.
-	subs [maxFuseBatch]proto.Sub[*mem.Buffer]
+	proto.Lane[*Request]
+	queue  []*Request
+	head   int
+	active bool                                       // a helper proc is draining the queue
+	subs   [proto.MaxFuseBatch]proto.Sub[*mem.Buffer] // the fused batch's buffers
 }
 
-// nbGated reports whether rank currently has outstanding requests, in
-// which case a blocking collective must be diverted through the queue to
-// preserve issue order behind them.
-func (c *Comm) nbGated(rank int) bool { return c.nb[rank].pending > 0 }
-
-// getReq pops a recycled request (or allocates one) for rank.
-func (c *Comm) getReq(rank int) *Request {
-	lane := &c.nb[rank]
-	r := lane.free
-	if r == nil {
-		return &Request{c: c, rank: rank}
+// newReq fills a recycled (or new) request with one call's arguments.
+func (c *Comm) newReq(rank int, kind proto.Kind, buf, buf2 *mem.Buffer, off, n, root int, dt mpi.Datatype, op mpi.Op) *Request {
+	r, ok := c.nb[rank].Get()
+	if !ok {
+		r = &Request{c: c, rank: rank}
 	}
-	lane.free = r.next
-	r.next = nil
-	r.done = false
-	r.fuse = false
+	r.Init(kind, root, n)
+	r.buf, r.buf2, r.off, r.dt, r.op = buf, buf2, off, dt, op
 	return r
 }
 
-// release returns a consumed request to its lane's freelist.
-func (c *Comm) release(r *Request) {
-	lane := &c.nb[r.rank]
-	r.buf, r.buf2 = nil, nil
-	r.waiters = r.waiters[:0]
-	r.done = false
-	r.next = lane.free
-	lane.free = r
-}
-
-// buildReq fills a recycled request with one call's arguments.
-func (c *Comm) buildReq(rank int, kind reqKind, buf, buf2 *mem.Buffer, off, n, root int, dt mpi.Datatype, op mpi.Op) *Request {
-	r := c.getReq(rank)
-	r.kind, r.buf, r.buf2 = kind, buf, buf2
-	r.off, r.n, r.root = off, n, root
-	r.dt, r.op = dt, op
-	r.bytes = int64(n)
-	return r
-}
-
-// issue appends r to the caller's lane and ensures a helper is draining
-// it. The helper is spawned with Engine.Go, which schedules it after the
-// events already pending at the current timestamp — so a burst of
-// back-to-back issues queues entirely before the helper's first step, and
-// the fusion window naturally sees the whole burst.
-func (c *Comm) issue(p *env.Proc, r *Request) *Request {
+// issue queues r on the caller's lane and ensures a helper drains it.
+// Engine.Go schedules a new helper after the events already pending now,
+// so a burst of back-to-back issues queues whole before its first step
+// and the fusion window sees the burst. A diverted blocking call
+// (nonblocking false) never fuses.
+func (c *Comm) issue(p *env.Proc, r *Request, nonblocking bool) *Request {
 	lane := &c.nb[p.Rank]
-	lane.pending++
-	c.inflightCur++
-	if c.rec != nil {
-		c.rec.NoteInflight(c.inflightCur)
-	}
-	r.issued = c.clocks.Now()
+	lane.Issue(r, nonblocking, c.clocks)
 	lane.queue = append(lane.queue, r)
 	if !lane.active {
 		lane.active = true
 		rank := p.Rank
 		c.W.Sys.Eng.Go(fmt.Sprintf("xhc.nb.r%d", rank), func(sp *sim.Proc) {
-			c.nbHelper(&env.Proc{S: sp, W: c.W, Rank: rank, Core: c.W.Core(rank)})
+			proto.Drain(&lane.Lane, helper{c, &env.Proc{S: sp, W: c.W, Rank: rank, Core: c.W.Core(rank)}})
 		})
 	}
 	return r
 }
 
-// issueBlocking routes a blocking collective through the request queue —
-// the path a blocking call takes while non-blocking requests are
-// outstanding. Diverted calls are never fusable: a rank with an empty lane
-// runs the same op inline with the blocking protocol, and protocol choice
-// must stay rank-uniform.
-func (c *Comm) issueBlocking(p *env.Proc, r *Request) {
-	c.issue(p, r).Wait(p)
+// queued runs a blocking call through the rank's request queue, behind its
+// outstanding requests, and reports whether it had to.
+func (c *Comm) queued(p *env.Proc, kind proto.Kind, buf, buf2 *mem.Buffer, off, n, root int, dt mpi.Datatype, op mpi.Op) bool {
+	if !c.nb[p.Rank].Gated() {
+		return false
+	}
+	c.issue(p, c.newReq(p.Rank, kind, buf, buf2, off, n, root, dt, op), false).Wait(p)
+	return true
 }
 
 // Ibcast starts a non-blocking broadcast of buf[off:off+n] from root.
 func (c *Comm) Ibcast(p *env.Proc, buf *mem.Buffer, off, n, root int) *Request {
 	sizeCheck(buf, off, n)
-	r := c.buildReq(p.Rank, reqBcast, buf, nil, off, n, root, 0, 0)
-	r.fuse = n > 0 && n <= c.fuseMax
-	return c.issue(p, r)
+	return c.issue(p, c.newReq(p.Rank, proto.KindBcast, buf, nil, off, n, root, 0, 0), true)
 }
 
 // Iallreduce starts a non-blocking allreduce of sbuf into rbuf.
 func (c *Comm) Iallreduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op) *Request {
-	sizeCheck(sbuf, 0, n)
-	return c.issue(p, c.buildReq(p.Rank, reqAllreduce, sbuf, rbuf, 0, n, 0, dt, op))
+	c.reduceCheck(p, sbuf, rbuf, n, true, 0)
+	return c.issue(p, c.newReq(p.Rank, proto.KindAllreduce, sbuf, rbuf, 0, n, 0, dt, op), true)
 }
 
 // Ireduce starts a non-blocking reduce of sbuf into root's rbuf.
 func (c *Comm) Ireduce(p *env.Proc, sbuf, rbuf *mem.Buffer, n int, dt mpi.Datatype, op mpi.Op, root int) *Request {
-	sizeCheck(sbuf, 0, n)
-	return c.issue(p, c.buildReq(p.Rank, reqReduce, sbuf, rbuf, 0, n, root, dt, op))
+	c.reduceCheck(p, sbuf, rbuf, n, false, root)
+	return c.issue(p, c.newReq(p.Rank, proto.KindReduce, sbuf, rbuf, 0, n, root, dt, op), true)
 }
 
 // Ibarrier starts a non-blocking barrier.
 func (c *Comm) Ibarrier(p *env.Proc) *Request {
-	return c.issue(p, c.buildReq(p.Rank, reqBarrier, nil, nil, 0, 0, 0, 0, 0))
+	return c.issue(p, c.newReq(p.Rank, proto.KindBarrier, nil, nil, 0, 0, 0, 0, 0), true)
 }
 
 // Iallgather starts a non-blocking allgather of blockLen-byte blocks.
 func (c *Comm) Iallgather(p *env.Proc, in, out *mem.Buffer, blockLen int) *Request {
 	sizeCheck(in, 0, blockLen)
 	sizeCheck(out, 0, blockLen*c.W.N)
-	return c.issue(p, c.buildReq(p.Rank, reqAllgather, in, out, 0, blockLen, 0, 0, 0))
+	return c.issue(p, c.newReq(p.Rank, proto.KindAllgather, in, out, 0, blockLen, 0, 0, 0), true)
 }
 
 // Iscatter starts a non-blocking scatter of blockLen-byte blocks from
 // root's buf into each rank's out.
 func (c *Comm) Iscatter(p *env.Proc, buf, out *mem.Buffer, blockLen, root int) *Request {
 	sizeCheck(out, 0, blockLen)
-	return c.issue(p, c.buildReq(p.Rank, reqScatter, buf, out, 0, blockLen, root, 0, 0))
+	return c.issue(p, c.newReq(p.Rank, proto.KindScatter, buf, out, 0, blockLen, root, 0, 0), true)
 }
 
 // InFlight returns the number of currently outstanding requests on the
 // communicator (all ranks).
-func (c *Comm) InFlight() int64 { return c.inflightCur }
-
-// Done reports completion without consuming the request.
-func (r *Request) Done() bool { return r.done }
+func (c *Comm) InFlight() int64 { return c.inflight.Load() }
 
 // Test polls the request once, advancing virtual time just enough for
 // helper processes to make progress. On true the request is consumed.
 func (r *Request) Test(p *env.Proc) bool {
-	if !r.done {
+	if !r.Done() {
 		p.S.Sleep(testPoll)
 	}
-	if !r.done {
+	if !r.Done() {
 		return false
 	}
-	r.c.release(r)
+	r.release()
 	return true
 }
 
@@ -233,11 +152,18 @@ func (r *Request) Test(p *env.Proc) bool {
 // it. The loop guards against stale wakeups addressed to a previous
 // suspension of the same proc.
 func (r *Request) Wait(p *env.Proc) {
-	for !r.done {
-		r.waiters = append(r.waiters, reqWaiter{p: p.S, token: p.S.NextSuspendToken()})
+	for !r.Done() {
+		r.waiters = append(r.waiters, p.S.Waiter())
 		p.S.Suspend("xhc: request wait")
 	}
-	r.c.release(r)
+	r.release()
+}
+
+// release returns a consumed request to its lane's freelist.
+func (r *Request) release() {
+	r.buf, r.buf2 = nil, nil
+	r.waiters = r.waiters[:0]
+	r.c.nb[r.rank].Put(r)
 }
 
 // Waitall waits for every non-nil request, in order.
@@ -249,126 +175,62 @@ func Waitall(p *env.Proc, rs ...*Request) {
 	}
 }
 
-// nbHelper is the per-rank progress process: it drains the lane in issue
-// order, popping maximal fusable prefixes into one fused traversal and
-// executing everything else through the normal blocking bodies. It exits
-// when the queue runs dry; the next issue respawns it.
-func (c *Comm) nbHelper(p *env.Proc) {
-	lane := &c.nb[p.Rank]
-	var batch [maxFuseBatch]*Request
-	for {
-		if lane.head == len(lane.queue) {
+// helper is the proc draining one rank's lane (proto.Drain): the
+// simulator's proto.Backend.
+type helper struct {
+	c *Comm
+	p *env.Proc
+}
+
+// Next pops the lane's queue; when the drain ends, the helper exits and
+// the next issue spawns a new one.
+func (h helper) Next(wait bool) (*Request, bool) {
+	lane := &h.c.nb[h.p.Rank]
+	if lane.head == len(lane.queue) {
+		if wait {
 			lane.queue = lane.queue[:0]
 			lane.head = 0
 			lane.active = false
-			return
 		}
-		r := lane.queue[lane.head]
-		r.svcStart = c.clocks.Now()
-		if !r.fuse {
-			lane.head++
-			if !c.chaos.EarlyComplete {
-				c.execReq(p, r)
-			}
-			c.completeReq(r)
-			continue
-		}
-		k := 0
-		for lane.head < len(lane.queue) && k < maxFuseBatch {
-			nx := lane.queue[lane.head]
-			if !nx.fuse || nx.root != r.root || nx.n != r.n {
-				// A fusable request that cannot join this batch is a ragged
-				// break — the shape mismatch the fusion window tolerates but
-				// cannot fuse across. Counted per op (rank 0), like Ops.
-				if nx.fuse && c.rec != nil && p.Rank == 0 {
-					c.rec.CountFuseAbort()
-				}
-				break
-			}
-			nx.svcStart = r.svcStart
-			batch[k] = nx
-			k++
-			lane.head++
-		}
-		c.execFused(p, batch[:k])
-		for i := range batch[:k] {
-			batch[i] = nil
-		}
+		return nil, false
 	}
+	r := lane.queue[lane.head]
+	lane.head++
+	return r, true
 }
 
-// execReq runs a request's blocking body on the helper proc.
-func (c *Comm) execReq(p *env.Proc, r *Request) {
-	switch r.kind {
-	case reqBcast:
-		c.bcast(p, r.buf, r.off, r.n, r.root)
-	case reqAllreduce:
-		c.allreduce(p, r.buf, r.buf2, r.n, r.dt, r.op, true, 0)
-	case reqReduce:
-		c.allreduce(p, r.buf, r.buf2, r.n, r.dt, r.op, false, r.root)
-	case reqBarrier:
+// Run runs a request's blocking body on the helper proc.
+func (h helper) Run(r *Request) {
+	c, p := h.c, h.p
+	switch r.Kind {
+	case proto.KindBcast:
+		c.bcast(p, r.buf, r.off, r.N, r.Root)
+	case proto.KindAllreduce:
+		c.allreduce(p, r.buf, r.buf2, r.N, r.dt, r.op, true, 0)
+	case proto.KindReduce:
+		c.allreduce(p, r.buf, r.buf2, r.N, r.dt, r.op, false, r.Root)
+	case proto.KindBarrier:
 		c.barrier(p)
-	case reqAllgather:
-		c.allgather(p, r.buf, r.buf2, r.n)
-	case reqScatter:
-		c.scatter(p, r.buf, r.buf2, r.n, r.root)
-	case reqGather:
-		c.gather(p, r.buf, r.buf2, r.n, r.root)
-	default:
-		panic(fmt.Sprintf("core: unknown request kind %d", r.kind))
+	case proto.KindAllgather:
+		c.allgather(p, r.buf, r.buf2, r.N)
+	case proto.KindScatter:
+		c.scatter(p, r.buf, r.buf2, r.N, r.Root)
+	case proto.KindGather:
+		c.gather(p, r.buf, r.buf2, r.N, r.Root)
 	}
 }
 
-// completeReq publishes a request's completion: records its span, marks it
-// done, wakes its waiters and releases the lane's pending gate. The gate
-// is released last so pending==0 proves the helper performs no further
-// shared-state activity for this request.
-func (c *Comm) completeReq(r *Request) {
-	if c.chaos.LostProgress {
-		// Mutation: drop the completion on the floor — the body ran, but
-		// Test never reports done and Wait suspends forever.
-		return
-	}
-	lane := &c.nb[r.rank]
-	lane.seq++
-	c.clocks.Request(r.rank, lane.seq, r.issued, r.svcStart, r.bytes)
-	r.done = true
-	if len(r.waiters) > 0 {
-		eng := c.W.Sys.Eng
-		now := eng.Now()
-		for _, w := range r.waiters {
-			eng.Wake(w.p, w.token, now)
-		}
-		r.waiters = r.waiters[:0]
-	}
-	lane.pending--
-	c.inflightCur--
-}
-
-// execFused runs a popped batch of same-shape small broadcasts as one
-// fused hierarchy traversal (proto.Fused), with this backend's op
-// accounting around it.
-func (c *Comm) execFused(p *env.Proc, batch []*Request) {
-	if c.chaos.EarlyComplete {
-		// Mutation: complete the whole batch without moving a byte (and
-		// without touching any counter — uniform across ranks, so nothing
-		// hangs; byte-exactness sees the stale payloads).
-		for _, r := range batch {
-			c.completeReq(r)
-		}
-		return
-	}
-	k := len(batch)
-	n := batch[0].n
-	st := c.stateFor(batch[0].root)
+// RunFused runs a batch of same-shape small broadcasts as one fused
+// hierarchy traversal (proto.Fused), with this backend's op accounting.
+func (h helper) RunFused(batch []*Request) {
+	c, p := h.c, h.p
+	k, n := len(batch), batch[0].N
+	st := c.stateFor(batch[0].Root)
 	view := st.views[p.Rank]
 	first := view.opSeq + 1
 	view.opSeq += uint64(k)
 	if p.Rank == 0 {
 		c.Ops += int64(k)
-		if c.rec != nil {
-			c.rec.CountFusedBatch(k, int64(k)*int64(n))
-		}
 	}
 	pc := c.clocks.Start(p.Rank, obs.OpBcast, view.opSeq, int64(k)*int64(n), st.h.NLevels())
 	subs := c.nb[p.Rank].subs[:k]
@@ -377,8 +239,14 @@ func (c *Comm) execFused(p *env.Proc, batch []*Request) {
 	}
 	proto.Fused(c.mem(p, pc), &st.plans[p.Rank], first, view.cumBytes, subs, n)
 	pc.Finish()
-	for i, r := range batch {
-		subs[i].Buf = nil
-		c.completeReq(r)
-	}
+	clear(subs)
 }
+
+// Wake resumes the procs suspended in r's Wait.
+func (h helper) Wake(r *Request) {
+	eng := h.c.W.Sys.Eng
+	eng.WakeAll(r.waiters, eng.Now())
+	r.waiters = r.waiters[:0]
+}
+
+func (h helper) Obs() proto.Recorder { return h.c.clocks }

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"xhc/internal/env"
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
+	"xhc/internal/obs"
 	"xhc/internal/topo"
 )
 
@@ -266,6 +268,82 @@ func TestFusedRaggedBatches(t *testing.T) {
 			if !bytes.Equal(bufs[r][i].Data, bufs[root][i].Data) {
 				t.Fatalf("rank %d op %d: wrong payload", r, i)
 			}
+		}
+	}
+}
+
+// TestResultBufferCheckedAtEntry gives one rank a result buffer too short
+// for the op: that rank must fail at entry with the boundary message, not
+// a peer that later copies from its buffer. Allreduce checks every rank's
+// rbuf, Reduce only the root's (the others' are ignored).
+func TestResultBufferCheckedAtEntry(t *testing.T) {
+	const nranks, n = 8, 64 << 10
+	for _, tc := range []struct {
+		name      string
+		bad, root int
+		rooted    bool
+	}{
+		{"allreduce", 0, 0, false},
+		{"reduce", 3, 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := world(t, topo.Epyc2P(), nranks)
+			c := MustNew(w, DefaultConfig())
+			sb := make([]*mem.Buffer, nranks)
+			rb := make([]*mem.Buffer, nranks)
+			for r := range sb {
+				sb[r] = w.NewBufferAt(fmt.Sprintf("sb%d", r), r, n)
+				size := n
+				if r == tc.bad {
+					size = 8
+				}
+				rb[r] = w.NewBufferAt(fmt.Sprintf("rb%d", r), r, size)
+			}
+			err := w.Run(func(p *env.Proc) {
+				if tc.rooted {
+					c.Reduce(p, sb[p.Rank], rb[p.Rank], n, mpi.Float64, mpi.Sum, tc.root)
+				} else {
+					c.Allreduce(p, sb[p.Rank], rb[p.Rank], n, mpi.Float64, mpi.Sum)
+				}
+			})
+			want := fmt.Sprintf("process rank%d(#%d) panicked: core: range [0:+%d) out of buffer size 8", tc.bad, tc.bad, n)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want it to contain %q", err, want)
+			}
+		})
+	}
+}
+
+// TestQueuedBlockingRecordsBytes: a blocking broadcast issued behind an
+// outstanding Ibcast runs through the request queue, and its request
+// flight record carries the op's size.
+func TestQueuedBlockingRecordsBytes(t *testing.T) {
+	observe(t, false)
+	const nranks, small, large = 4, 64, 4096
+	w := world(t, topo.Epyc2P(), nranks)
+	c := MustNew(w, DefaultConfig())
+	sm := make([]*mem.Buffer, nranks)
+	lg := make([]*mem.Buffer, nranks)
+	for r := range sm {
+		sm[r] = w.NewBufferAt(fmt.Sprintf("sm%d", r), r, small)
+		lg[r] = w.NewBufferAt(fmt.Sprintf("lg%d", r), r, large)
+	}
+	if err := w.Run(func(p *env.Proc) {
+		req := c.Ibcast(p, sm[p.Rank], 0, small, 0)
+		c.Bcast(p, lg[p.Rank], 0, large, 0)
+		req.Wait(p)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < nranks; r++ {
+		var sizes []int64
+		for _, rec := range w.Obs.Rec.Flight().LaneRecords(r) {
+			if rec.Kind == obs.RecRequest {
+				sizes = append(sizes, rec.Bytes)
+			}
+		}
+		if len(sizes) != 2 || sizes[0] != small || sizes[1] != large {
+			t.Errorf("rank %d request record sizes %v, want [%d %d]", r, sizes, small, large)
 		}
 	}
 }

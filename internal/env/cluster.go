@@ -217,7 +217,12 @@ func (cw *ClusterWorld) HarnessBarrier(p *Proc, node int) {
 		token: p.S.NextSuspendToken(),
 		at:    p.S.Now(),
 	})
-	p.S.SuspendLazy("cluster harness barrier (epoch %d)", b.epoch)
+	p.S.SuspendLazy(b, b.epoch, 0)
+}
+
+// Reason renders a cluster HarnessBarrier wait for deadlock reports.
+func (b *clusterBarrier) Reason(epoch, _ uint64) string {
+	return fmt.Sprintf("cluster harness barrier (epoch %d)", epoch)
 }
 
 // Run spawns PerNode rank procs on every shard and drives the cluster to

@@ -217,12 +217,7 @@ func (p *Proc) ChargeCompute(n int) {
 type barrierState struct {
 	epoch   uint64
 	arrived int
-	waiters []waiter
-}
-
-type waiter struct {
-	p     *sim.Proc
-	token uint64
+	waiters []sim.Waiter
 }
 
 // HarnessBarrier blocks until all N ranks of the world have arrived.
@@ -237,12 +232,15 @@ func (p *Proc) HarnessBarrier() {
 		b.arrived = 0
 		b.epoch++
 		now := p.S.Now()
-		for _, w := range b.waiters {
-			p.W.Sys.Eng.Wake(w.p, w.token, now)
-		}
+		p.W.Sys.Eng.WakeAll(b.waiters, now)
 		b.waiters = b.waiters[:0]
 		return
 	}
-	b.waiters = append(b.waiters, waiter{p: p.S, token: p.S.NextSuspendToken()})
-	p.S.SuspendLazy("harness barrier (epoch %d)", b.epoch)
+	b.waiters = append(b.waiters, p.S.Waiter())
+	p.S.SuspendLazy(b, b.epoch, 0)
+}
+
+// Reason renders a HarnessBarrier wait for deadlock reports.
+func (b *barrierState) Reason(epoch, _ uint64) string {
+	return fmt.Sprintf("harness barrier (epoch %d)", epoch)
 }

@@ -10,9 +10,10 @@
 // library for in-process parallel computations. The broadcast family
 // (Bcast, its CICO path up to 1 KiB, fused Ibcast batches, the
 // subtree-first acks and the barrier round), Scatter (with the same CICO
-// path) and the seeded-bug set (proto.Chaos) are package proto's, shared
-// with core; gxhc supplies its real-memory layer (rankMem). Op timing
-// goes through the same obs.OpClock core uses.
+// path), the non-blocking request lane (request.go) and the seeded-bug set
+// (proto.Chaos) are package proto's, shared with core; gxhc supplies its
+// real-memory layer (rankMem) and its half of the lane. Op timing goes
+// through the same obs.OpClock core uses.
 //
 // The hot path is built for wall-clock speed (DESIGN.md §13): control
 // state lives in dense cache-line-padded flag arrays indexed by member
@@ -88,10 +89,8 @@ type Comm struct {
 	// request freelist and the pending gate (request.go).
 	nb []nbRank
 	// fuse[r] is rank r's fused-broadcast staging buffer (grow-only, only
-	// ranks that lead a group stage). fuseMax is the normalized fusion
-	// threshold from Config.FuseBytes.
-	fuse    [][]byte
-	fuseMax int
+	// ranks that lead a group stage).
+	fuse [][]byte
 	// cico[r] is rank r's two-slot copy-in-copy-out buffer for small
 	// broadcasts and scatters; mems[r] is its shared-protocol handle, and
 	// chaos is Config.Chaos (zero when nil).
@@ -249,9 +248,6 @@ func New(n int, cfg Config) (*Comm, error) {
 	c.scratch = make([][]float64, n)
 	c.ag = make([]agSlot, n)
 	c.nb = make([]nbRank, n)
-	for r := range c.nb {
-		c.nb[r].q = make(chan *Request, nbQueueCap)
-	}
 	c.fuse = make([][]byte, n)
 	c.cico = make([][]byte, n)
 	c.mems = make([]rankMem, n)
@@ -262,13 +258,13 @@ func New(n int, cfg Config) (*Comm, error) {
 	if cfg.Chaos != nil {
 		c.chaos = *cfg.Chaos
 	}
-	switch {
-	case cfg.FuseBytes < 0:
-		c.fuseMax = 0
-	case cfg.FuseBytes == 0:
-		c.fuseMax = defaultFuseBytes
-	default:
-		c.fuseMax = cfg.FuseBytes
+	fuseMax := cfg.FuseBytes // negative: no payload is small enough to fuse
+	if fuseMax == 0 {
+		fuseMax = defaultFuseBytes
+	}
+	for r := range c.nb {
+		c.nb[r].Init(r, fuseMax, &c.chaos, &c.inflight)
+		c.nb[r].q = make(chan *Request, nbQueueCap)
 	}
 	if _, err := c.stateFor(0); err != nil {
 		return nil, err
@@ -388,8 +384,9 @@ func (c *Comm) buildState(root int) (*state, error) {
 // non-blocking requests in flight the call is ordered behind them through
 // the request queue (request.go); otherwise it runs inline.
 func (c *Comm) Bcast(rank int, buf []byte, root int) {
-	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqBcast, buf, nil, nil, nil, root, 0)
+	c.checkRoot(root)
+	if c.nb[rank].Gated() {
+		c.issue(c.newReq(rank, proto.KindBcast, buf, nil, nil, nil, root, 0), false).Wait()
 		return
 	}
 	c.bcast(rank, buf, root)
@@ -398,10 +395,7 @@ func (c *Comm) Bcast(rank int, buf []byte, root int) {
 // bcast is Bcast's body, called inline or from the rank's request worker:
 // the shared broadcast protocol (proto.Bcast) on real memory.
 func (c *Comm) bcast(rank int, buf []byte, root int) {
-	st, err := c.stateFor(root)
-	if err != nil {
-		panic(err)
-	}
+	st, _ := c.stateFor(root)
 	v := &c.views[rank]
 	v.opSeq++
 	n := len(buf)
@@ -519,8 +513,9 @@ func (c *Comm) AllreduceFloat64(rank int, dst, src []float64) {
 // AllreduceFloat64Op is AllreduceFloat64 with an explicit element-wise op
 // (sum, min or max — see ReduceOp).
 func (c *Comm) AllreduceFloat64Op(rank int, dst, src []float64, op ReduceOp) {
-	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqAllreduce, nil, nil, dst, src, 0, op)
+	c.checkReduce(rank, dst, src, 0, true)
+	if c.nb[rank].Gated() {
+		c.issue(c.newReq(rank, proto.KindAllreduce, nil, nil, dst, src, 0, op), false).Wait()
 		return
 	}
 	c.reduceFloat64(rank, dst, src, 0, true, op)
@@ -536,8 +531,9 @@ func (c *Comm) ReduceFloat64(rank int, dst, src []float64, root int) {
 
 // ReduceFloat64Op is ReduceFloat64 with an explicit element-wise op.
 func (c *Comm) ReduceFloat64Op(rank int, dst, src []float64, root int, op ReduceOp) {
-	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqReduce, nil, nil, dst, src, root, op)
+	c.checkReduce(rank, dst, src, root, false)
+	if c.nb[rank].Gated() {
+		c.issue(c.newReq(rank, proto.KindReduce, nil, nil, dst, src, root, op), false).Wait()
 		return
 	}
 	c.reduceFloat64(rank, dst, src, root, false, op)
@@ -548,13 +544,7 @@ func (c *Comm) ReduceFloat64Op(rank int, dst, src []float64, root int, op Reduce
 // root, since the hierarchy is root-following), optionally followed by the
 // pull-based broadcast of the result.
 func (c *Comm) reduceFloat64(rank int, dst, src []float64, root int, bcast bool, op ReduceOp) {
-	if bcast && len(dst) != len(src) {
-		panic("gxhc: dst/src length mismatch")
-	}
-	st, err := c.stateFor(root)
-	if err != nil {
-		panic(err)
-	}
+	st, _ := c.stateFor(root)
 	v := &c.views[rank]
 	v.opSeq++
 	seq := v.opSeq
@@ -747,8 +737,8 @@ func (c *Comm) reduceSlice(ctl *groupCtl, op ReduceOp, lo, hi int, out []float64
 
 // Barrier blocks until every participant has arrived.
 func (c *Comm) Barrier(rank int) {
-	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqBarrier, nil, nil, nil, nil, 0, 0)
+	if c.nb[rank].Gated() {
+		c.issue(c.newReq(rank, proto.KindBarrier, nil, nil, nil, nil, 0, 0), false).Wait()
 		return
 	}
 	c.barrier(rank)
@@ -779,8 +769,9 @@ func (c *Comm) barrierBody(st *state, v *viewSlot, rank int, wc *obs.OpClock) {
 // participant can republish (or let its caller reuse) a block that a slower
 // peer is still reading.
 func (c *Comm) Allgather(rank int, in, out []byte) {
-	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqAllgather, in, out, nil, nil, 0, 0)
+	c.checkAllgather(in, out)
+	if c.nb[rank].Gated() {
+		c.issue(c.newReq(rank, proto.KindAllgather, in, out, nil, nil, 0, 0), false).Wait()
 		return
 	}
 	c.allgather(rank, in, out)
@@ -790,9 +781,6 @@ func (c *Comm) Allgather(rank int, in, out []byte) {
 // worker.
 func (c *Comm) allgather(rank int, in, out []byte) {
 	blockLen := len(in)
-	if len(out) != blockLen*c.n {
-		panic(fmt.Sprintf("gxhc: allgather out length %d, want %d", len(out), blockLen*c.n))
-	}
 	st, _ := c.stateFor(0)
 	v := &c.views[rank]
 	v.opSeq++
@@ -823,8 +811,9 @@ func (c *Comm) allgather(rank int, in, out []byte) {
 // keeps root from returning — and its caller from reusing in — before
 // every block has been pulled.
 func (c *Comm) Scatter(rank int, in, out []byte, root int) {
-	if c.nb[rank].pending.Load() != 0 {
-		c.issueBlocking(rank, reqScatter, in, out, nil, nil, root, 0)
+	c.checkScatter(rank, in, out, root)
+	if c.nb[rank].Gated() {
+		c.issue(c.newReq(rank, proto.KindScatter, in, out, nil, nil, root, 0), false).Wait()
 		return
 	}
 	c.scatter(rank, in, out, root)
@@ -833,18 +822,44 @@ func (c *Comm) Scatter(rank int, in, out []byte, root int) {
 // scatter is Scatter's body, called inline or from the rank's request
 // worker.
 func (c *Comm) scatter(rank int, in, out []byte, root int) {
-	st, err := c.stateFor(root)
-	if err != nil {
-		panic(err)
-	}
+	st, _ := c.stateFor(root)
 	v := &c.views[rank]
 	v.opSeq++
 	blockLen := len(out)
 	v.lastBytes = blockLen
-	if rank == root && len(in) != blockLen*c.n {
-		panic(fmt.Sprintf("gxhc: scatter in length %d, want %d", len(in), blockLen*c.n))
-	}
 	wc := c.clocks.Start(rank, obs.OpScatter, v.opSeq, int64(blockLen), st.h.NLevels())
 	proto.Scatter(c.mem(rank, wc, blockLen), &st.plans[rank].Plan, v.opSeq, in, out, blockLen)
 	wc.Finish()
+}
+
+// The argument checks run in the public calls, on the caller's goroutine
+// before any flag is touched: a rejected call panics in the offending
+// rank, where it can be recovered, and reaches no worker and no peer.
+
+func (c *Comm) checkRoot(root int) {
+	if root < 0 || root >= c.n {
+		panic(fmt.Sprintf("gxhc: root %d out of range [0,%d)", root, c.n))
+	}
+}
+
+// checkReduce requires a result buffer as long as src on every rank of an
+// allreduce and on a reduce's root.
+func (c *Comm) checkReduce(rank int, dst, src []float64, root int, bcast bool) {
+	c.checkRoot(root)
+	if (bcast || rank == root) && len(dst) != len(src) {
+		panic(fmt.Sprintf("gxhc: dst length %d, src length %d", len(dst), len(src)))
+	}
+}
+
+func (c *Comm) checkAllgather(in, out []byte) {
+	if len(out) != len(in)*c.n {
+		panic(fmt.Sprintf("gxhc: allgather out length %d, want %d", len(out), len(in)*c.n))
+	}
+}
+
+func (c *Comm) checkScatter(rank int, in, out []byte, root int) {
+	c.checkRoot(root)
+	if rank == root && len(in) != len(out)*c.n {
+		panic(fmt.Sprintf("gxhc: scatter in length %d, want %d", len(in), len(out)*c.n))
+	}
 }

@@ -22,12 +22,7 @@ type Line struct {
 	holderCore int // core whose cache holds the authoritative copy
 	queue      Queue
 
-	waiters []lineWaiter
-}
-
-type lineWaiter struct {
-	p     *sim.Proc
-	token uint64
+	waiters []sim.Waiter
 }
 
 // NewLine allocates a coherence line homed at (owned by) the given core.
@@ -188,7 +183,7 @@ func (s *System) ReadBatch(p *sim.Proc, core int, lines []*Line) {
 // blocking operation); the registration is bound to that next suspension,
 // so a wake can never hit an unrelated wait.
 func (l *Line) AddWaiter(p *sim.Proc) {
-	l.waiters = append(l.waiters, lineWaiter{p: p, token: p.NextSuspendToken()})
+	l.waiters = append(l.waiters, p.Waiter())
 	l.sys.Stats.LineWaits++
 	if n := len(l.waiters); n > l.sys.Stats.MaxLineWaiters {
 		l.sys.Stats.MaxLineWaiters = n
@@ -201,12 +196,10 @@ func (l *Line) wakeWaiters() {
 	if len(l.waiters) == 0 {
 		return
 	}
-	ws := l.waiters
-	l.waiters = nil
-	at := l.sys.Eng.Now() + l.sys.Params.NotifyDelay
-	for _, w := range ws {
-		l.sys.Eng.Wake(w.p, w.token, at)
-	}
+	l.sys.Eng.WakeAll(l.waiters, l.sys.Eng.Now()+l.sys.Params.NotifyDelay)
+	// Scheduling a wake runs no process, so the list is reused.
+	clear(l.waiters)
+	l.waiters = l.waiters[:0]
 }
 
 // String aids debugging.

@@ -205,3 +205,23 @@ func (cs *Clocks) Request(rank int, seq uint64, issued, svcStart, bytes int64) {
 		t.Record(lane, -1, PhaseCollective, "request", seq, issued, end, bytes)
 	}
 }
+
+// NoteInflight, CountFuseAbort and CountFusedBatch pass a request lane's
+// counters on to the recorder; without one they record nothing.
+func (cs *Clocks) NoteInflight(cur int64) {
+	if cs != nil && cs.rec != nil {
+		cs.rec.NoteInflight(cur)
+	}
+}
+
+func (cs *Clocks) CountFuseAbort() {
+	if cs != nil && cs.rec != nil {
+		cs.rec.CountFuseAbort()
+	}
+}
+
+func (cs *Clocks) CountFusedBatch(k int, bytes int64) {
+	if cs != nil && cs.rec != nil {
+		cs.rec.CountFusedBatch(k, bytes)
+	}
+}

@@ -80,8 +80,13 @@ func (f *Flag) WaitGE(p *sim.Proc, core int, v uint64) uint64 {
 		// charged Read above and this point no other process has run, so
 		// no store can be lost.
 		f.line.AddWaiter(p)
-		p.Suspend(fmt.Sprintf("wait %s >= %d (have %d)", f.Name, v, f.val))
+		p.SuspendLazy(f, v, f.val)
 	}
+}
+
+// Reason renders a WaitGE on the flag for deadlock reports.
+func (f *Flag) Reason(v, have uint64) string {
+	return fmt.Sprintf("wait %s >= %d (have %d)", f.Name, v, have)
 }
 
 // WaitAllGE blocks until every flag's value is >= v. The leader-side
@@ -145,8 +150,16 @@ func waitAll(p *sim.Proc, core int, flags []*Flag, targets []uint64, v uint64) {
 		for _, x := range pending {
 			x.f.line.AddWaiter(p)
 		}
-		p.Suspend(fmt.Sprintf("wait %d flags (first: %s >= %d)", len(pending), pending[0].f.Name, pending[0].v))
+		p.SuspendLazy((*gatherWait)(pending[0].f), uint64(len(pending)), pending[0].v)
 	}
+}
+
+// gatherWait renders a waitAll suspension, named by its first lagging
+// flag, for deadlock reports.
+type gatherWait Flag
+
+func (g *gatherWait) Reason(n, v uint64) string {
+	return fmt.Sprintf("wait %d flags (first: %s >= %d)", n, g.Name, v)
 }
 
 // waitInline is how many flags a gather holds on the stack.
@@ -193,6 +206,11 @@ func (f *AtomicFlag) WaitGE(p *sim.Proc, core int, v uint64) uint64 {
 			return got
 		}
 		f.line.AddWaiter(p)
-		p.Suspend(fmt.Sprintf("wait atomic %s >= %d (have %d)", f.Name, v, f.val))
+		p.SuspendLazy(f, v, f.val)
 	}
+}
+
+// Reason renders a WaitGE on the counter for deadlock reports.
+func (f *AtomicFlag) Reason(v, have uint64) string {
+	return fmt.Sprintf("wait atomic %s >= %d (have %d)", f.Name, v, have)
 }

@@ -210,3 +210,56 @@ func TestWaitAllZeroAllocs(t *testing.T) {
 		t.Errorf("allocs per gather: WaitAllGE %v, WaitAllTargets %v; want 0", ge, tg)
 	}
 }
+
+// TestDeadlockReportNamesFlagWaits pins the deadlock report of the three
+// flag waits byte for byte: their reasons are formatted only when the
+// report is built, from the flag and the values stored at suspension.
+func TestDeadlockReportNamesFlagWaits(t *testing.T) {
+	s := mem.Default(topo.Epyc1P())
+	f := NewFlag(s, "xhc.ready", 0)
+	g := NewFlag(s, "xhc.ack", 1)
+	a := NewAtomicFlag(s, "sm.count", 0)
+	s.Eng.Go("owner", func(p *sim.Proc) { f.Set(p, 0, 2) })
+	s.Eng.Go("one", func(p *sim.Proc) { f.WaitGE(p, 4, 3) })
+	s.Eng.Go("all", func(p *sim.Proc) { WaitAllGE(p, 5, []*Flag{f, g}, 2) })
+	s.Eng.Go("atomic", func(p *sim.Proc) { a.WaitGE(p, 6, 1) })
+	err := s.Eng.Run()
+	if err == nil {
+		t.Fatal("run ended without a deadlock")
+	}
+	want := "sim: deadlock at 107.000ns, 3 processes suspended:\n" +
+		"  all(#2): wait 1 flags (first: xhc.ack >= 2)\n" +
+		"  atomic(#3): wait atomic sm.count >= 1 (have 0)\n" +
+		"  one(#1): wait xhc.ready >= 3 (have 2)"
+	if err.Error() != want {
+		t.Errorf("deadlock report:\n%s\nwant:\n%s", err, want)
+	}
+}
+
+// TestWaitGESuspendZeroAllocs pins a flag wait that suspends and is woken
+// by the owner's store at 0 allocs: the reason is not formatted.
+func TestWaitGESuspendZeroAllocs(t *testing.T) {
+	s := mem.Default(topo.Epyc1P())
+	f := NewFlag(s, "f", 0)
+	const runs = 50
+	s.Eng.Go("owner", func(p *sim.Proc) {
+		for v := uint64(1); v <= runs+1; v++ {
+			p.Sleep(sim.Microsecond)
+			f.Set(p, 0, v)
+		}
+	})
+	var allocs float64
+	s.Eng.Go("reader", func(p *sim.Proc) {
+		v := uint64(0)
+		allocs = testing.AllocsPerRun(runs, func() {
+			v++
+			f.WaitGE(p, 8, v)
+		})
+	})
+	if err := s.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("allocs per suspending WaitGE: %v, want 0", allocs)
+	}
+}

@@ -228,8 +228,8 @@ func (e *Engine) deadlockError() error {
 	for _, p := range e.procs {
 		if !p.finished {
 			reason := p.waitReason
-			if p.waitFmt != "" {
-				reason = fmt.Sprintf(p.waitFmt, p.waitArg)
+			if p.waitWhy != nil {
+				reason = p.waitWhy.Reason(p.waitA, p.waitB)
 			}
 			if p.waitUntil != 0 {
 				reason = fmt.Sprintf("%s until %s", reason, FmtTime(p.waitUntil))

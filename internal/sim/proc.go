@@ -21,11 +21,10 @@ type Proc struct {
 	finished   bool
 	waitReason string
 	waitUntil  Time // nonzero while sleeping: formatted lazily for reports
-	// waitFmt/waitArg are the lazy form of waitReason: deadlock reports
-	// render fmt.Sprintf(waitFmt, waitArg), so hot suspend paths never pay
-	// for formatting (the same discipline Sleep follows with waitUntil).
-	waitFmt string
-	waitArg uint64
+	// waitWhy/waitA/waitB are the lazy form of waitReason, rendered only by
+	// deadlock reports (the discipline Sleep follows with waitUntil).
+	waitWhy      Reason
+	waitA, waitB uint64
 
 	// suspendToken invalidates stale wakeups: each Suspend call gets a new
 	// token, and Wake calls carrying an old token are ignored.
@@ -107,20 +106,25 @@ func (p *Proc) Suspend(reason string) uint64 {
 	return tok
 }
 
+// Reason renders a suspended process's wait reason for a deadlock report
+// from the two values its suspension stored.
+type Reason interface {
+	Reason(a, b uint64) string
+}
+
 // SuspendLazy parks the process like Suspend, but defers formatting the
 // wait reason until a deadlock report actually needs it: the reason renders
-// as fmt.Sprintf(format, arg). Use it on hot paths (the harness barrier
-// every rank crosses twice per iteration) where a fmt.Sprintf per suspend
-// would put allocation back into the measurement loop.
-func (p *Proc) SuspendLazy(format string, arg uint64) uint64 {
+// as why.Reason(a, b). Use it on hot paths (flag waits, the harness
+// barrier every rank crosses twice per iteration) where a fmt.Sprintf per
+// suspend would put allocation back into the measurement loop.
+func (p *Proc) SuspendLazy(why Reason, a, b uint64) uint64 {
 	p.suspendToken++
 	p.suspended = true
-	p.waitFmt = format
-	p.waitArg = arg
+	p.waitWhy, p.waitA, p.waitB = why, a, b
 	tok := p.suspendToken
 	p.yieldToEngine()
 	p.suspended = false
-	p.waitFmt = ""
+	p.waitWhy = nil
 	return tok
 }
 
@@ -129,6 +133,23 @@ func (p *Proc) SuspendLazy(format string, arg uint64) uint64 {
 // (while the process still holds control) to arm a wake for precisely that
 // suspension.
 func (p *Proc) NextSuspendToken() uint64 { return p.suspendToken + 1 }
+
+// Waiter is one armed wake: a process and the token of the suspension it
+// is about to enter.
+type Waiter struct {
+	P     *Proc
+	Token uint64
+}
+
+// Waiter arms a wake for the process's next suspension.
+func (p *Proc) Waiter() Waiter { return Waiter{p, p.NextSuspendToken()} }
+
+// WakeAll wakes every waiter at t, in order.
+func (e *Engine) WakeAll(ws []Waiter, t Time) {
+	for _, w := range ws {
+		e.Wake(w.P, w.Token, t)
+	}
+}
 
 // Wake schedules p to resume at time t, if it is still in the suspension
 // identified by token. Stale or duplicate wakeups are ignored, so several
