@@ -284,6 +284,7 @@ func BenchmarkAblationCICOThreshold(b *testing.B) {
 				bench := xhc.MicroBench{Topo: xhc.Epyc2P(), Custom: func(w *xhc.World) (xhc.Component, error) {
 					cfg := xhc.DefaultConfig()
 					cfg.CICOThreshold = thresh
+					cfg.CICOBytes = max(cfg.CICOBytes, 2*thresh) // two slots
 					return xhc.NewXHC(w, cfg)
 				}}
 				reportBcast(b, bench, size)

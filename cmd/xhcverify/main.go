@@ -114,8 +114,10 @@ func doSweep(configs, schedules int, seed uint64, quick, verbose bool, reg *obs.
 	}
 	start := time.Now()
 	sum := verify.Explore(o)
-	fmt.Printf("explored %d runs over %d configurations: %d distinct schedules, %d with concurrent communicators, in %v\n",
-		sum.Runs, sum.Configs, sum.DistinctSchedules, sum.ConcRuns, time.Since(start).Round(time.Millisecond))
+	// The wall time goes to stderr, so stdout repeats byte for byte.
+	fmt.Printf("explored %d runs over %d configurations: %d distinct schedules, %d with concurrent communicators\n",
+		sum.Runs, sum.Configs, sum.DistinctSchedules, sum.ConcRuns)
+	fmt.Fprintf(os.Stderr, "explored in %v\n", time.Since(start).Round(time.Millisecond))
 	for _, f := range sum.Failures {
 		fmt.Printf("FAIL %s\n  schedule %s\n  %s\n  replay: xhcverify -replay %#016x:%#016x\n",
 			f.Case, f.Sched, f.Err, f.CfgSeed, f.SchedSeed)
@@ -152,8 +154,9 @@ func doClusterSweep(configs, schedules int, seed uint64, quick, verbose bool) in
 	}
 	start := time.Now()
 	sum := verify.ExploreCluster(o)
-	fmt.Printf("explored %d cluster runs over %d configurations: %d distinct schedules in %v\n",
-		sum.Runs, sum.Configs, sum.DistinctSchedules, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("explored %d cluster runs over %d configurations: %d distinct schedules\n",
+		sum.Runs, sum.Configs, sum.DistinctSchedules)
+	fmt.Fprintf(os.Stderr, "explored in %v\n", time.Since(start).Round(time.Millisecond))
 	for _, f := range sum.Failures {
 		fmt.Printf("FAIL %s\n  schedule %s\n  %s\n  replay: xhcverify -cluster -replay %#016x:%#016x\n",
 			f.Case, f.Sched, f.Err, f.CfgSeed, f.SchedSeed)

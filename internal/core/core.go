@@ -9,9 +9,9 @@
 //   - pipelining with per-level configurable chunk sizes;
 //   - single-writer/multiple-reader synchronization flags (no atomics).
 //
-// The broadcast family, Scatter and the non-blocking request lane are
-// package proto's, shared with gxhc; core supplies the simulated machine
-// layer (rankMem) and its half of the lane (request.go).
+// The broadcast family, Scatter, Allreduce/Reduce and the non-blocking
+// request lane are package proto's, shared with gxhc; core supplies the
+// simulated machine layer (rankMem) and its half of the lane (request.go).
 package core
 
 import (
@@ -68,7 +68,8 @@ type Config struct {
 	// level; the last entry covers all deeper levels). Paper: run-time
 	// configurable per level.
 	ChunkBytes []int
-	// CICOBytes is the size of each rank's shared CICO buffer.
+	// CICOBytes is the size of each rank's shared CICO buffer: two slots
+	// of at least CICOThreshold bytes each (0 sizes it to exactly that).
 	CICOBytes int
 	// ReduceMinChunk is the minimum number of bytes one member takes on in
 	// the intra-group reduction; with few elements only one member in each
@@ -186,8 +187,12 @@ func New(w *env.World, cfg Config) (*Comm, error) {
 			return nil, fmt.Errorf("core: non-positive chunk size %d", c)
 		}
 	}
-	if cfg.CICOBytes < cfg.CICOThreshold {
+	// Each CICO buffer holds two slots of up to CICOThreshold bytes.
+	if cfg.CICOBytes == 0 {
 		cfg.CICOBytes = cfg.CICOThreshold * 2
+	} else if cfg.CICOBytes < 2*cfg.CICOThreshold {
+		return nil, fmt.Errorf("core: CICO buffer %d cannot double-buffer threshold %d payloads",
+			cfg.CICOBytes, cfg.CICOThreshold)
 	}
 	if cfg.ReduceMinChunk <= 0 {
 		cfg.ReduceMinChunk = 1
@@ -330,53 +335,29 @@ type groupState struct {
 	acks    map[int]*shm.Flag
 	ackWait []*shm.Flag
 
-	// Allreduce state:
-	// redReady[m] is member m's cumulative counter of contribution bytes
-	// available for reduction (owner m).
-	redReady map[int]*shm.Flag
-	// redDone[m] is member m's cumulative counter of bytes it has reduced
-	// into the leader's accumulation buffer (owner m).
-	redDone map[int]*shm.Flag
-	// redExpSeq/redExposed publish each member's contribution buffer.
-	redExpSeq     map[int]*shm.Flag
-	redExposed    map[int]xpmem.Handle
-	redExposedOff map[int]int
+	// Allreduce state, indexed by member slot (each flag owned by its
+	// member): redReady[s] counts contribution bytes available for
+	// folding, redDone[s] the bytes member s has folded into the leader's
+	// accumulator, and redExpSeq[s] publishes its contribution in
+	// redExposed[s].
+	redReady   []*shm.Flag
+	redDone    []*shm.Flag
+	redExpSeq  []*shm.Flag
+	redExposed []xpmem.Handle
+	// lslot is the leader's member slot.
+	lslot int
 	// accExpSeq/accExposed publish the leader's accumulation buffer.
-	accExpSeq     *shm.Flag
-	accExposed    xpmem.Handle
-	accExposedOff int
+	accExpSeq  *shm.Flag
+	accExposed xpmem.Handle
 }
 
 // rankView is one rank's local mirror of the monotonic shared counters.
 // Because every rank executes the same operation sequence, all views stay
-// consistent without communication.
+// consistent without communication. The reduction's mirrors live on the
+// rank's plan (proto).
 type rankView struct {
-	rank     int
 	opSeq    uint64
 	cumBytes []uint64 // broadcast availability base, per level
-	redCum   []uint64 // reduce contribution-availability base, per level
-	// redDoneB mirrors the cumulative reduce_done counter of each member
-	// this rank interacts with: [level][member] -> base value.
-	redDoneB []map[int]uint64
-}
-
-// redDoneBase returns this rank's own reduce_done base at a level.
-func (v *rankView) redDoneBase(level int) uint64 { return v.redDoneBaseOf(level, v.rank) }
-
-// redDoneBaseOf returns member m's reduce_done base at a level.
-func (v *rankView) redDoneBaseOf(level, m int) uint64 {
-	if v.redDoneB[level] == nil {
-		return 0
-	}
-	return v.redDoneB[level][m]
-}
-
-// bumpRedDone advances member m's mirrored base after an operation.
-func (v *rankView) bumpRedDone(level, m int, d uint64) {
-	if v.redDoneB[level] == nil {
-		v.redDoneB[level] = make(map[int]uint64)
-	}
-	v.redDoneB[level][m] += d
 }
 
 func (c *Comm) stateFor(root int) *commState {
@@ -402,16 +383,12 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 			g := &h.GroupsAt(l)[gi]
 			lc := c.W.Core(g.Leader)
 			gs := &groupState{
-				g:             g,
-				leader:        g.Leader,
-				expSeq:        shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.exp", root, l, gi), lc),
-				acks:          map[int]*shm.Flag{},
-				redReady:      map[int]*shm.Flag{},
-				redDone:       map[int]*shm.Flag{},
-				redExpSeq:     map[int]*shm.Flag{},
-				redExposed:    map[int]xpmem.Handle{},
-				redExposedOff: map[int]int{},
-				accExpSeq:     shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.accexp", root, l, gi), lc),
+				g:          g,
+				leader:     g.Leader,
+				expSeq:     shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.exp", root, l, gi), lc),
+				acks:       map[int]*shm.Flag{},
+				redExposed: make([]xpmem.Handle, len(g.Members)),
+				accExpSeq:  shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.accexp", root, l, gi), lc),
 			}
 			switch c.Cfg.Flags {
 			case SingleFlag:
@@ -449,7 +426,7 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 			if c.chaos.SharedAckLine {
 				ackLine = c.W.Sys.NewLine(lc)
 			}
-			for _, m := range g.Members {
+			for s, m := range g.Members {
 				mc := c.W.Core(m)
 				ackName := c.name("r%d.l%d.g%d.ack.%d", root, l, gi, m)
 				if ackLine != nil {
@@ -459,10 +436,12 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 				}
 				if m != g.Leader {
 					gs.ackWait = append(gs.ackWait, gs.acks[m])
+				} else {
+					gs.lslot = s
 				}
-				gs.redReady[m] = shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rr.%d", root, l, gi, m), mc)
-				gs.redDone[m] = shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rd.%d", root, l, gi, m), mc)
-				gs.redExpSeq[m] = shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rexp.%d", root, l, gi, m), mc)
+				gs.redReady = append(gs.redReady, shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rr.%d", root, l, gi, m), mc))
+				gs.redDone = append(gs.redDone, shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rd.%d", root, l, gi, m), mc))
+				gs.redExpSeq = append(gs.redExpSeq, shm.NewFlag(c.W.Sys, c.name("r%d.l%d.g%d.rexp.%d", root, l, gi, m), mc))
 			}
 			lvl = append(lvl, gs)
 		}
@@ -471,12 +450,7 @@ func (c *Comm) stateForChecked(root int) (*commState, error) {
 	st.plans = proto.Build(h, func(l, gi int) *groupState { return st.groups[l][gi] })
 	st.views = make([]*rankView, c.W.N)
 	for r := range st.views {
-		st.views[r] = &rankView{
-			rank:     r,
-			cumBytes: make([]uint64, h.NLevels()),
-			redCum:   make([]uint64, h.NLevels()),
-			redDoneB: make([]map[int]uint64, h.NLevels()),
-		}
+		st.views[r] = &rankView{cumBytes: make([]uint64, h.NLevels())}
 	}
 	c.states[root] = st
 	return st, nil

@@ -475,6 +475,24 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(w, bad2); err == nil {
 		t.Error("negative threshold accepted")
 	}
+	// A CICO buffer must hold two threshold-sized slots; 0 sizes it so.
+	for _, b := range []int{1024, 1536} {
+		small := DefaultConfig()
+		small.CICOThreshold, small.CICOBytes = 1024, b
+		if _, err := New(w, small); err == nil {
+			t.Errorf("CICO buffer of %d bytes accepted for a 1024-byte threshold", b)
+		}
+	}
+	for _, b := range []int{0, 2048} {
+		ok := DefaultConfig()
+		ok.CICOThreshold, ok.CICOBytes = 1024, b
+		c, err := New(w, ok)
+		if err != nil {
+			t.Errorf("CICO buffer of %d bytes rejected: %v", b, err)
+		} else if c.Cfg.CICOBytes != 2048 {
+			t.Errorf("CICO buffer of %d bytes sized to %d, want 2048", b, c.Cfg.CICOBytes)
+		}
+	}
 }
 
 func TestRegCacheHitRatioHigh(t *testing.T) {

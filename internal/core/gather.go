@@ -74,7 +74,6 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 	if p.Rank == root {
 		sizeCheck(buf, 0, blockLen*c.W.N)
 		gs.accExposed = xpmem.Expose(buf)
-		gs.accExposedOff = 0
 		gs.accExpSeq.Set(p.S, p.Core, view.opSeq)
 		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(buf, blockLen*root, in, 0, blockLen)
@@ -85,7 +84,7 @@ func (c *Comm) gather(p *env.Proc, in *mem.Buffer, buf *mem.Buffer, blockLen, ro
 		pc.MarkFrom(-1, obs.PhaseFlagWait, 0, gs.leader)
 		dst := c.caches[p.Rank].Attach(p.S, gs.accExposed)
 		pc.Mark(-1, obs.PhaseExpose, 0)
-		p.Copy(dst, gs.accExposedOff+blockLen*p.Rank, in, 0, blockLen)
+		p.Copy(dst, blockLen*p.Rank, in, 0, blockLen)
 		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		c.caches[p.Rank].Release(p.S, gs.accExposed)
 		pc.Mark(-1, obs.PhaseExpose, 0)
@@ -139,7 +138,6 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 	gs := st.groups[st.h.NLevels()-1][0]
 	if p.Rank == 0 {
 		gs.accExposed = xpmem.Expose(out)
-		gs.accExposedOff = 0
 		gs.accExpSeq.Set(p.S, p.Core, view.opSeq)
 		pc.Mark(-1, obs.PhaseExpose, 0)
 		p.Copy(out, 0, in, 0, blockLen)
@@ -157,7 +155,7 @@ func (c *Comm) allgather(p *env.Proc, in *mem.Buffer, out *mem.Buffer, blockLen 
 		pc.Mark(-1, obs.PhaseFlagWait, 0)
 		dst := c.caches[p.Rank].Attach(p.S, gs.accExposed)
 		pc.Mark(-1, obs.PhaseExpose, 0)
-		p.Copy(dst, gs.accExposedOff+blockLen*p.Rank, in, 0, blockLen)
+		p.Copy(dst, blockLen*p.Rank, in, 0, blockLen)
 		pc.Mark(-1, obs.PhaseChunkCopy, int64(blockLen))
 		c.caches[p.Rank].Release(p.S, gs.accExposed)
 		c.agDone(st, p.Rank).Set(p.S, p.Core, view.opSeq)

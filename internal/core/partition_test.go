@@ -8,51 +8,58 @@ import (
 	"xhc/internal/env"
 	"xhc/internal/mem"
 	"xhc/internal/mpi"
+	"xhc/internal/proto"
 	"xhc/internal/sim"
 	"xhc/internal/topo"
 )
 
 // TestReducePartitionProperties: for random message sizes and minimum
-// chunks, the partition tiles [0, n) exactly, slices are element-aligned,
-// non-leaders only, and the minimum-chunk rule limits how many members
-// participate.
+// chunks, the shared partition (proto.Slice over the plan's reducer list)
+// tiles [0, n) exactly in reducer order, slices are element-aligned, the
+// reducers are the non-leader members in ascending rank order, and the
+// minimum-chunk rule limits how many members participate.
 func TestReducePartitionProperties(t *testing.T) {
 	top := topo.Epyc2P()
 	w := env.NewWorld(top, top.MustMap(topo.MapCore, 64))
 	c := MustNew(w, DefaultConfig())
 	st := c.stateFor(0)
-	gs := st.groups[0][0] // 8-member NUMA group
+	role := &st.plans[0].Lead[0] // the root's 8-member NUMA group
+	gs := role.G
+	k := len(role.Reducers)
+	if k != len(gs.g.Members)-1 {
+		t.Fatalf("%d reducers in a group of %d", k, len(gs.g.Members))
+	}
+	for i, s := range role.Reducers {
+		if m := gs.g.Members[s]; m == gs.leader || (i > 0 && m < gs.g.Members[role.Reducers[i-1]]) {
+			t.Fatalf("reducer %d is member %d: leader or out of rank order", i, m)
+		}
+	}
 
 	f := func(nElems uint16, minExp uint8) bool {
 		elems := 1 + int(nElems)%5000
 		es := 8
 		n := elems * es
 		minChunk := 1 << (minExp % 14) // 1 .. 8192
-		part := c.reducePartition(gs, n, es, minChunk)
-
-		// Non-leaders only, full coverage, element alignment, ordering.
-		covered := 0
-		actives := 0
-		for m, sl := range part {
-			if m == gs.leader {
+		covered, actives, end := 0, 0, 0
+		for i := 0; i < k; i++ {
+			lo, hi := proto.Slice(n, es, minChunk, k, i)
+			if lo > hi || lo%es != 0 || hi%es != 0 {
 				return false
 			}
-			if sl[0] > sl[1] || sl[0]%es != 0 || sl[1]%es != 0 {
-				return false
-			}
-			if sl[1] > sl[0] {
+			if hi > lo {
+				if lo != end {
+					return false
+				}
+				end = hi
 				actives++
 			}
-			covered += sl[1] - sl[0]
+			covered += hi - lo
 		}
 		if covered != n {
 			return false
 		}
 		// Minimum-chunk rule: active count never exceeds ceil(n/minChunk).
-		maxActive := (n + minChunk - 1) / minChunk
-		if maxActive > len(part) {
-			maxActive = len(part)
-		}
+		maxActive := min((n+minChunk-1)/minChunk, k)
 		return actives <= maxActive && actives >= 1
 	}
 	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}
@@ -67,12 +74,10 @@ func TestTinyMessageSingleReducer(t *testing.T) {
 	top := topo.Epyc2P()
 	w := env.NewWorld(top, top.MustMap(topo.MapCore, 64))
 	c := MustNew(w, DefaultConfig())
-	st := c.stateFor(0)
-	gs := st.groups[0][0]
-	part := c.reducePartition(gs, 8, 8, c.Cfg.ReduceMinChunk)
-	active := 0
-	for _, sl := range part {
-		if sl[1] > sl[0] {
+	role := &c.stateFor(0).plans[0].Lead[0]
+	k, active := len(role.Reducers), 0
+	for i := 0; i < k; i++ {
+		if lo, hi := proto.Slice(8, 8, c.Cfg.ReduceMinChunk, k, i); hi > lo {
 			active++
 		}
 	}

@@ -281,7 +281,7 @@ func (w worker) RunFused(batch []*Request) {
 	for i, r := range batch {
 		subs[i] = proto.Sub[[]byte]{Buf: r.buf}
 	}
-	proto.Fused(c.mem(rank, wc, n), &st.plans[rank].Plan, first, v.cum[:], subs, n)
+	proto.Fused(c.mem(rank, wc, n), &st.plans[rank], first, v.cum[:], subs, n)
 	wc.Finish()
 	clear(subs)
 }

@@ -93,11 +93,14 @@ func opBudget(base, nbytes int) int {
 // needs no RMW on the flag itself either — the writer re-checks the parked
 // indicator after publishing, and the waiter re-checks the value after
 // publishing its parked indicator (the Dekker store/load handshake), so a
-// wakeup can never be missed.
+// wakeup can never be missed. The indicator is the lowest value a parked
+// waiter wants (0: none parked), so a store that satisfies no one wakes no
+// one: a leader parked on a reducer's whole slice sleeps through the
+// reducer's per-chunk progress stores.
 type flagLine struct {
 	v      atomic.Uint64
-	parked atomic.Uint32
-	_      [cacheLine - 12]byte
+	parked atomic.Uint64
+	_      [cacheLine - 16]byte
 	cold   flagCold
 }
 
@@ -131,7 +134,7 @@ func (f *flagLine) load() uint64 { return f.v.Load() }
 // writer's half of the Dekker handshake with wait.
 func (f *flagLine) set(v uint64) {
 	f.v.Store(v)
-	if f.parked.Load() != 0 {
+	if w := f.parked.Load(); w != 0 && v >= w {
 		f.wake()
 	}
 }
@@ -204,7 +207,9 @@ func (c *Comm) wait(f *flagLine, v uint64, rank, budget int) uint64 {
 		}
 		n.next = cold.head
 		cold.head = n
-		f.parked.Store(1)
+		if w := f.parked.Load(); w == 0 || v < w {
+			f.parked.Store(v)
+		}
 		cold.mu.Unlock()
 		// Dekker re-check: the writer may have stored the value before it
 		// loaded our parked indicator. It re-reads parked after its store;

@@ -1,8 +1,11 @@
-// Package proto holds the XHC broadcast family and Scatter once, for both
-// backends: the root's expose/announce, the pipelined chunk pull behind
-// the leader-owned ready counter, the double-buffered copy-in-copy-out
-// path, the fused-batch traversal, the subtree-first acknowledgment, the
-// barrier round (the paper's Sections IV-A and IV-C), and the one set of
+// Package proto holds the XHC protocol once, for both backends: the
+// broadcast family (the root's expose/announce, the pipelined chunk pull
+// behind the leader-owned ready counter, the double-buffered
+// copy-in-copy-out path, the fused-batch traversal), the subtree-first
+// acknowledgment and the barrier round (the paper's Sections IV-A and
+// IV-C), Scatter, the Allreduce/Reduce family (reduce.go: the
+// index-partitioned, pipelined reduction of Section IV-B and its CICO
+// path), the non-blocking request lane (request.go), and the one set of
 // seeded protocol bugs (Chaos) both backends take.
 //
 // It is written against Mem, the machine layer one rank runs on: package
@@ -13,7 +16,11 @@
 // made here, so that order must not move.
 package proto
 
-import "xhc/internal/hier"
+import (
+	"sort"
+
+	"xhc/internal/hier"
+)
 
 // Flag names one of a group's control counters.
 type Flag uint8
@@ -22,6 +29,13 @@ const (
 	Exp   Flag = iota // leader-owned exposure sequence (fused: last sub-op)
 	Ready             // leader-owned cumulative available-bytes counter
 	Ack               // the calling rank's own completed-op counter
+
+	// The reduction's counters (reduce.go). AccExp is the leader's; the
+	// other three are one per member slot, each written by its member.
+	AccExp   // the accumulator's exposure sequence
+	RedExp   // a contribution's exposure sequence
+	RedReady // cumulative contribution bytes ready to be folded
+	RedDone  // RedReady's value at the op's start plus the bytes folded since
 )
 
 // Phase names the segment a Mark closes. The values are obs.Phase's
@@ -30,10 +44,11 @@ const (
 type Phase uint8
 
 const (
-	PhaseExpose    Phase = 1 // publishing or attaching a buffer
-	PhaseFlagWait  Phase = 2 // waiting on a flag
-	PhaseChunkCopy Phase = 3 // moving payload bytes
-	PhaseAck       Phase = 5 // the closing acknowledgment
+	PhaseExpose      Phase = 1 // publishing or attaching a buffer
+	PhaseFlagWait    Phase = 2 // waiting on a flag
+	PhaseChunkCopy   Phase = 3 // moving payload bytes
+	PhaseReduceSlice Phase = 4 // folding a reducer's slice
+	PhaseAck         Phase = 5 // the closing acknowledgment
 )
 
 // Role is one rank's handle on one hierarchy group.
@@ -42,6 +57,12 @@ type Role[G any] struct {
 	Level  int // hierarchy level of the group
 	Slot   int // the rank's member index in the group
 	Leader int // the group's leader rank
+	// Reducers lists the member slots of the group's reducers (every
+	// member but the leader) in ascending rank order, shared by the
+	// group's roles; Red is the rank's index in it, -1 for the leader.
+	Reducers []int
+	Red      int
+	red      redState
 }
 
 // Plan is one rank's precomputed view of a hierarchy (one per root): the
@@ -57,13 +78,22 @@ type Plan[G any] struct {
 	// carries Scatter's exposure to every rank. Its Slot is not set: most
 	// ranks are not members.
 	Top Role[G]
+	// redCum mirrors each level's contribution counters (RedReady) the way
+	// a caller's cum mirrors the ready counters; only reductions advance it.
+	redCum []uint64
 }
 
 // Build precomputes every rank's plan on h. group returns the backend's
 // control block of group index at level.
 func Build[G any](h *hier.Hierarchy, group func(level, index int) G) []Plan[G] {
 	tl := h.NLevels() - 1
-	top := Role[G]{G: group(tl, 0), Level: tl, Leader: h.TopLeader()}
+	top := Role[G]{G: group(tl, 0), Level: tl, Leader: h.TopLeader(), Red: -1}
+	reducers := make([][][]int, h.NLevels()) // [level][index]
+	for l := range reducers {
+		for _, g := range h.GroupsAt(l) {
+			reducers[l] = append(reducers[l], reducerSlots(&g))
+		}
+	}
 	plans := make([]Plan[G], h.NRanks)
 	for r := range plans {
 		p := &plans[r]
@@ -73,11 +103,17 @@ func Build[G any](h *hier.Hierarchy, group func(level, index int) G) []Plan[G] {
 			if !ok {
 				break
 			}
-			role := Role[G]{G: group(l, g.Index), Level: l, Leader: g.Leader}
+			role := Role[G]{G: group(l, g.Index), Level: l, Leader: g.Leader,
+				Reducers: reducers[l][g.Index], Red: -1}
 			for s, m := range g.Members {
 				if m == r {
 					role.Slot = s
 					break
+				}
+			}
+			for i, s := range role.Reducers {
+				if s == role.Slot {
+					role.Red = i
 				}
 			}
 			if g.Leader == r {
@@ -87,6 +123,7 @@ func Build[G any](h *hier.Hierarchy, group func(level, index int) G) []Plan[G] {
 			p.Pull, p.HasPull = role, true
 			break // a plain member takes part in no higher level
 		}
+		p.initRed(h.NLevels())
 	}
 	return plans
 }
@@ -97,6 +134,19 @@ func (p *Plan[G]) PullLevel() int {
 		return -1
 	}
 	return p.Pull.Level
+}
+
+// reducerSlots returns g's non-leader member slots in ascending rank
+// order: the reducers, in the order Slice assigns them their slices.
+func reducerSlots(g *hier.Group) []int {
+	var rs []int
+	for s, m := range g.Members {
+		if m != g.Leader {
+			rs = append(rs, s)
+		}
+	}
+	sort.Slice(rs, func(i, j int) bool { return g.Members[rs[i]] < g.Members[rs[j]] })
+	return rs
 }
 
 // Chaos seeds deliberate protocol bugs for the verify harness's mutation
@@ -111,13 +161,15 @@ type Chaos struct {
 	// ack — in Barrier, their arrival signal — so their leaders wait
 	// forever. Read here. Caught by the engine's deadlock detector.
 	SkipAck bool
-	// EarlyReady [core]: availability is published before the work that
-	// backs it. Read here (a chunk, staged CICO copy or scatter block is
-	// announced before its copy lands; Barrier leaders release their
-	// subtree before gathering its arrivals) and in core's reduce paths (a
-	// member marks its slice done before reducing it) and CICO allgather
-	// (a rank publishes its push before staging it). Caught by the data
-	// checks or Barrier's ordering stamps.
+	// EarlyReady [core, gxhc]: availability is published before the work
+	// that backs it. Read here (a chunk, staged CICO copy or scatter block
+	// is announced before its copy lands; Barrier leaders release their
+	// subtree before gathering its arrivals; a reducer marks its slice
+	// folded before folding it: a pure member's, and every reducer's on
+	// the CICO path) and in core's CICO allgather (a rank publishes its
+	// push before staging it). Caught by the data checks or Barrier's
+	// ordering stamps. On gxhc the reduce bug is a data race, so its
+	// self-test row never runs under the race detector.
 	EarlyReady bool
 	// StaleReady [gxhc]: members copy without waiting on the leader's
 	// ready counter, as if reading it without acquire ordering. Read here.
@@ -145,11 +197,12 @@ type Chaos struct {
 	// running its body. Every rank skips uniformly (no hang), so the
 	// per-request byte check sees the caller's junk fill.
 	EarlyComplete bool
-	// SkipResultPull [gxhc]: every top-group allreduce reducer takes the
-	// sole-reducer shortcut (no wait on the top leader's ready counter, no
-	// copy of the result outside its own slice) even when other reducers
-	// own the rest of the vector. Race-free within one op; caught by the
-	// data check.
+	// SkipResultPull [gxhc]: every top-group reducer of an allreduce takes
+	// the sole-reducer rule (writes its own slice of the result, no wait on
+	// the top leader's ready counter, no pull of the rest) even when other
+	// reducers own the rest of the vector. Read here; it acts only where
+	// Reduction.SoleWrites allows the rule, so not on core. Race-free
+	// within one op; caught by the data check.
 	SkipResultPull bool
 }
 
@@ -181,6 +234,27 @@ type Mem[G, B any] interface {
 	MarkFrom(level int, ph Phase, bytes int64, from int) // released by rank from
 	Pull(from, n int)                                    // one member<-leader data edge
 	Chaos() *Chaos                                       // the seeded bugs; never nil, read-only
+
+	// The reduction (reduce.go). Contribute stores buf as the caller's
+	// contribution to r's group (acc false) or, by the leader, as the
+	// group's accumulator (acc true); the RedExp or AccExp store that
+	// follows publishes it. AttachRed maps member slot s's contribution,
+	// or the accumulator for s == Acc, for the Folds that follow.
+	Contribute(r *Role[G], buf B, acc bool)
+	AttachRed(r *Role[G], s int) B
+	// Fold reduces bytes [off, off+n) of every member's contribution into
+	// the accumulator: the leader's seeds it, then the other members fold
+	// in slot order. With cico the contributions are the members' CICO
+	// buffers and the accumulator the leader's, which holds its own.
+	Fold(r *Role[G], off, n int, cico bool)
+	Load(r *Role[G], f Flag, s int) uint64        // member slot s's flag, without waiting
+	WaitSlot(r *Role[G], f Flag, s int, v uint64) // until slot s's flag reaches v
+	WaitSlots(r *Role[G], f Flag, want []uint64)  // until each slot's reaches want[s] (0: no wait)
+	// Stall is what a leader does after a progress-loop pass that moved
+	// nothing; slot s's flag f reaching v is the loop's first unmet need,
+	// and another rank writes it.
+	Stall(r *Role[G], f Flag, s int, v uint64)
+	Reduction() Reduction
 }
 
 // Advance moves a rank's per-level ready mirrors past an op of n bytes.
